@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--center", action="store_true", default=None,
                     help="subtract column means")
     sp.add_argument("--strict", action="store_true", default=None,
-                    help="exit 3 when the stage-1 solver fails to converge")
+                    help="exit 3 when the stage-1 solver or a fit of the "
+                         "returned segmentation fails to converge")
 
     sp = sub.add_parser("evaluate", help="replicate study on a scenario")
     _add_common(sp)
@@ -167,6 +168,9 @@ def _cmd_detect(cfg: RunConfig) -> int:
     print("breaks:", " ".join(str(b) for b in result.final_breaks) or "(none)")
     if cfg.strict and not result.stage1_estimate.converged:
         print("stage-1 solver did not converge", file=sys.stderr)
+        return EXIT_NOCONV
+    if cfg.strict and not all(f.converged for f in result.stage2.fits):
+        print("stage-2 segment fit did not converge", file=sys.stderr)
         return EXIT_NOCONV
     return EXIT_OK
 

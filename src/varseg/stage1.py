@@ -83,8 +83,9 @@ def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
     """Assemble suffix Grams and cross-products for the block sweep.
 
-    Memory is O(T * (p*d)^2); fine at the design scale of hundreds of rows
-    and a few hundred lagged regressors.
+    The suffix sums are accumulated in place in the two returned arrays,
+    so peak memory is one copy of them: n * (p*d) * (p*d + p) floats, plus
+    the lagged design.
     """
     X = np.ascontiguousarray(np.asarray(data, dtype=float))
     if X.ndim != 2:
@@ -98,16 +99,20 @@ def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
         raise ValueError(f"need T > d, got T={T}, d={d}")
 
     lag, tgt = _lagged_design(X, d)
-    outer_gram = lag[:, :, None] * lag[:, None, :]
-    outer_cross = lag[:, :, None] * tgt[:, None, :]
-    sg = np.flip(np.cumsum(np.flip(outer_gram, 0), 0), 0)
-    sc = np.flip(np.cumsum(np.flip(outer_cross, 0), 0), 0)
-    return Stage1Problem(
-        n=T - d + 1, p=p, d=d,
-        suffix_gram=np.concatenate([sg[:1], sg]),
-        suffix_cross=np.concatenate([sc[:1], sc]),
-        lagged_rows=lag, targets=tgt,
-    )
+    n, q = T - d + 1, p * d
+    sg = np.empty((n, q, q))
+    sc = np.empty((n, q, p))
+    # block b >= 1 starts at equation b (row b - 1); sum the outer products
+    # from the last equation back, then block 0 copies block 1
+    np.multiply(lag[:, :, None], lag[:, None, :], out=sg[1:])
+    np.multiply(lag[:, :, None], tgt[:, None, :], out=sc[1:])
+    for b in range(n - 2, 0, -1):
+        sg[b] += sg[b + 1]
+        sc[b] += sc[b + 1]
+    sg[0] = sg[1]
+    sc[0] = sc[1]
+    return Stage1Problem(n=n, p=p, d=d, suffix_gram=sg, suffix_cross=sc,
+                         lagged_rows=lag, targets=tgt)
 
 
 def soft_threshold(x, lam):
@@ -118,32 +123,91 @@ def soft_threshold(x, lam):
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _lasso_gram_cd(G, r, kappa, theta, tol, max_passes):
+def _lasso_gram_cd(G, r, kappa, theta, tol, max_passes) -> bool:
     """Exact block subproblem solver in Gram form.
 
     Minimizes sum_b [theta_b' G theta_b - 2 r_b' theta_b] (scaled by 1/n
     outside) plus the l1 charge with per-entry threshold kappa, by cyclic
     coordinate descent over the p*d rows of theta (all response columns of
-    one row move together).  theta is updated in place and returned.
+    one row move together).  theta is updated in place.  Returns True when
+    a pass ended with its largest step under tol, False when max_passes
+    ran out first.
+
+    Rows that provably stay zero are not visited one by one (the screening
+    of Friedman, Hastie & Tibshirani, JSS 2010): on reaching a zero row,
+    the residuals r[a:] - G[a:] @ theta of all later rows come from one
+    product, and the sweep jumps over every zero row inside the threshold
+    band, writing the signed zero its update would have left.  The screen
+    holds until a visited row moves.  Visited rows use the plain update,
+    so the iterates match a row-by-row sweep.
     """
     q = G.shape[0]
     diag = np.diag(G)
+    flat = diag <= 0.0
+    # rows a screen may not skip: nonzero, or without curvature
+    hold = flat | theta.any(axis=1)
+    # two summation orders of r - G @ theta differ by at most this factor
+    # times |r| + |G| |theta|, so a screened row inside kappa less that
+    # slack is inside kappa by the row update's own arithmetic too
+    rounding = 2.0 * (q + 2) * np.finfo(float).eps
+    r_abs = float(np.abs(r).max(initial=0.0))
+    g_abs = float(np.abs(G).sum(axis=1).max(initial=0.0))
+    skip = np.zeros(q + 1, dtype=bool)   # skip[q] stays False: a sentinel
+    screened = False    # skip[base:] and s hold while theta holds still
+    base = 0
     for _ in range(max_passes):
         delta = 0.0
-        for a in range(q):
-            old = theta[a].copy()
-            if diag[a] <= 0.0:
+        a = 0
+        while a < q:
+            if not hold[a]:
+                if not screened or a < base:
+                    if a + 1 < q and not hold[a + 1]:
+                        base = a
+                        s = r[a:] - G[a:] @ theta
+                        slack = rounding * (r_abs + g_abs * float(np.abs(theta).max()))
+                        np.less_equal(np.abs(s).max(axis=1), kappa - slack, out=skip[a:q])
+                        skip[a:q][hold[a:]] = False
+                        screened = True
+                if screened and a >= base:
+                    run = int(np.argmin(skip[a:]))
+                    if run:
+                        theta[a:a + run] = np.sign(s[a - base:a - base + run]) * 0.0
+                        a += run
+                        if a == q:
+                            break
+            old = theta[a]
+            if flat[a]:
                 # No curvature: only exactly-zero data columns land here.
-                theta[a] = 0.0
+                new = np.zeros_like(old)
             else:
-                partial = r[a] - G[a] @ theta + diag[a] * theta[a]
-                theta[a] = np.sign(partial) * np.maximum(np.abs(partial) - kappa, 0.0) / diag[a]
-            step = np.max(np.abs(theta[a] - old))
+                partial = r[a] - G[a] @ theta + diag[a] * old
+                new = np.sign(partial) * np.maximum(np.abs(partial) - kappa, 0.0) / diag[a]
+                hold[a] = new.any()
+            step = np.abs(new - old).max()
+            theta[a] = new
+            if step != 0.0:
+                screened = False
             if step > delta:
                 delta = step
+            a += 1
         if delta < tol:
-            break
-    return theta
+            return True
+    return False
+
+
+def _coupling_suffix(G: np.ndarray, th: np.ndarray, active: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """out[b] = sum_{b' > b} G_b' theta_b': what later blocks add to block b.
+
+    Blocks with active[b'] False contribute nothing and are skipped.
+    """
+    n = th.shape[0]
+    out[n - 1] = 0.0
+    for b in range(n - 2, -1, -1):
+        np.copyto(out[b], out[b + 1])
+        if active[b + 1]:
+            out[b] += G[b + 1] @ th[b + 1]
+    return out
 
 
 def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
@@ -151,18 +215,11 @@ def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
     n, p = problem.n, problem.p
     q = p * problem.d
     G, Cc = problem.suffix_gram, problem.suffix_cross
-    grad = np.empty((n, q, p))
-    suffix = np.zeros((q, p))
-    suffixes = np.empty((n, q, p))
-    suffixes[n - 1] = 0.0
-    for b in range(n - 2, -1, -1):
-        if np.any(th[b + 1]):
-            suffix = suffix + G[b + 1] @ th[b + 1]
-        suffixes[b] = suffix
+    grad = _coupling_suffix(G, th, np.any(th, axis=(1, 2)), np.empty((n, q, p)))
     prefix = np.zeros((q, p))
     for b in range(n):
         prefix = prefix + th[b]
-        grad[b] = Cc[b] - G[b] @ prefix - suffixes[b]
+        grad[b] = Cc[b] - G[b] @ prefix - grad[b]
     return grad
 
 
@@ -191,7 +248,10 @@ def _active_set_refine(problem: Stage1Problem, th: np.ndarray, kappa: float,
     the worst threshold violator.  Every move descends, so the scheme
     cannot cycle.  On a rank-deficient support whose equalities are
     unattainable the objective is instead reduced along the null space
-    until an entry hits zero, which restores attainability.
+    until an entry hits zero, which restores attainability.  The working
+    Gram is symmetric PSD, so one symmetric eigendecomposition per pivot
+    gives the rank test, the pseudo-inverse solve and the null space
+    (singular supports are common: blocks 1 and 2 share one Gram).
 
     Certifies when all columns end with equalities met, signs consistent
     and every zero entry inside the threshold band.  Returns (candidate,
@@ -224,12 +284,14 @@ def _active_set_refine(problem: Stage1Problem, th: np.ndarray, kappa: float,
                 A = G[np.maximum(bb[:, None], bb[None, :]), aa[:, None], aa[None, :]]
                 rhs = Cc[bb, aa, c] - kappa * ss
                 try:
-                    U, sv, Vt = np.linalg.svd(A)
+                    w, V = np.linalg.eigh(A)
                 except np.linalg.LinAlgError:
                     break
-                rank = int(np.sum(sv > sv[0] * bb.size * eps)) if sv[0] > 0 else 0
-                z = Vt[:rank].T @ ((U[:, :rank].T @ rhs) / sv[:rank])
-                null_rows = Vt[rank:] if rank < bb.size else None
+                aw = np.abs(w)
+                kept = aw > aw.max() * bb.size * eps
+                Vk = V[:, kept]
+                z = Vk @ ((Vk.T @ rhs) / w[kept])
+                null_rows = V[:, ~kept].T if not kept.all() else None
                 if null_rows is not None:
                     z = z + null_rows.T @ (null_rows @ (xv - z))
                 if not np.all(np.isfinite(z)):
@@ -370,11 +432,7 @@ def bcd_solve(problem: Stage1Problem, lam: float, max_sweeps: int = 200,
     sweeps = 0
     next_try = 2
     for sweeps in range(1, max_sweeps + 1):
-        Q[n - 1] = 0.0
-        for b in range(n - 2, -1, -1):
-            np.copyto(Q[b], Q[b + 1])
-            if active[b + 1]:
-                Q[b] += G[b + 1] @ th[b + 1]
+        _coupling_suffix(G, th, active, Q)
         prefix = np.zeros((q, p))
         max_delta = 0.0
         for b in range(n):
@@ -431,22 +489,13 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
     the threshold band.  inactive_max reports the worst zero-entry
     gradient, including zero entries inside otherwise-active blocks.
     """
-    n, p, q = problem.n, problem.p, problem.p * problem.d
+    n = problem.n
     th = np.swapaxes(estimate.theta, 1, 2)
-    G, Cc = problem.suffix_gram, problem.suffix_cross
     kappa = n * lam / 2.0
 
-    suffix = np.zeros((n, q, p))
-    for b in range(n - 2, -1, -1):
-        suffix[b] = suffix[b + 1]
-        if np.any(th[b + 1]):
-            suffix[b] = suffix[b] + G[b + 1] @ th[b + 1]
-    prefix = np.zeros((q, p))
     active_residuals: dict[int, float] = {}
     inactive_max = 0.0
-    for b in range(n):
-        prefix = prefix + th[b]
-        grad = Cc[b] - G[b] @ prefix - suffix[b]
+    for b, grad in enumerate(_gradients(problem, th)):
         nz = th[b] != 0.0
         if nz.any():
             resid = np.abs(grad[nz] - kappa * np.sign(th[b][nz]))

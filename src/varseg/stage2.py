@@ -33,6 +33,7 @@ class SegmentFit:
     theta: np.ndarray          # p x (p*d)
     sse: float
     l1_norm: float
+    converged: bool            # False when the CD fit stopped at max_passes
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,18 +70,21 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     j_lo, j_hi = max(lo - 1 - d, 0), hi - 1 - d
     A, B = lag[j_lo:j_hi], tgt[j_lo:j_hi]
 
+    converged = True
     if eta == 0.0:
         theta_t, *_ = np.linalg.lstsq(A, B, rcond=None)
     else:
         n = effective_sample_size(T, d)
         gram = A.T @ A
         cross = A.T @ B
-        theta_t = _lasso_gram_cd(gram, cross, n * eta / 2.0,
-                                 np.zeros((p * d, p)), tol, max_passes)
+        theta_t = np.zeros((p * d, p))
+        converged = _lasso_gram_cd(gram, cross, n * eta / 2.0, theta_t,
+                                   tol, max_passes)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
-                      l1_norm=float(np.sum(np.abs(theta_t))))
+                      l1_norm=float(np.sum(np.abs(theta_t))),
+                      converged=converged)
 
 
 def _check_subset(breaks: tuple[int, ...], d: int, T: int) -> None:

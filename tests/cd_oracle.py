@@ -1,0 +1,36 @@
+"""Reference coordinate descent for the Gram-form lasso block problem.
+
+The plain cyclic loop the package kernel `_lasso_gram_cd` must reproduce:
+every row is visited on every pass, with no screening.  Slow but obvious,
+which is the point of an oracle.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def lasso_gram_cd_reference(G, r, kappa, theta, tol, max_passes):
+    """Minimize sum_c [theta_c' G theta_c - 2 r_c' theta_c] + 2 kappa |theta|_1.
+
+    Cyclic over the rows of theta (all columns of a row move together);
+    theta is updated in place.  Returns (theta, converged), converged being
+    True when a pass ended with its largest step under tol.
+    """
+    q = G.shape[0]
+    diag = np.diag(G)
+    for _ in range(max_passes):
+        delta = 0.0
+        for a in range(q):
+            old = theta[a].copy()
+            if diag[a] <= 0.0:
+                theta[a] = 0.0
+            else:
+                partial = r[a] - G[a] @ theta + diag[a] * theta[a]
+                theta[a] = np.sign(partial) * np.maximum(np.abs(partial) - kappa, 0.0) / diag[a]
+            step = np.max(np.abs(theta[a] - old))
+            if step > delta:
+                delta = step
+        if delta < tol:
+            return theta, True
+    return theta, False

@@ -1,5 +1,6 @@
 """Serialization round trips, preprocessing, SVG output, and the CLI."""
 
+import functools
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import piecewise_series
+from varseg import stage2
 from varseg.cli import main
 from varseg.model import SegmentedVarModel
 from varseg.plots import (PlotBundle, bundle_from_dict, bundle_to_dict,
@@ -211,6 +213,22 @@ def test_cli_detect_artifacts(small_csv, tmp_path, capsys):
     assert len(bundle["series"]) == 80
     assert bundle["final_markers"] == doc["final_breaks"]
     ET.parse(out / "plot.svg")
+
+
+def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
+                                                   monkeypatch, capsys):
+    assert main(["detect", "--input", str(small_csv), "--out",
+                 str(tmp_path / "ok"), "--strict"]) == 0
+    monkeypatch.setattr(stage2, "fit_segment",
+                        functools.partial(stage2.fit_segment, max_passes=1))
+    plain, strict = tmp_path / "plain", tmp_path / "strict"
+    assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert main(["detect", "--input", str(small_csv), "--out", str(strict),
+                 "--strict"]) == 3
+    assert "stage-2" in capsys.readouterr().err
+    # the artifacts do not carry the flag
+    assert (strict / "result.json").read_bytes() == (plain / "result.json").read_bytes()
 
 
 def test_cli_plot_rerenders_bundle(small_csv, tmp_path):

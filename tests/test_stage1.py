@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cd_oracle import lasso_gram_cd_reference
 from conftest import assert_monotone, piecewise_series
 from prox_oracle import prox_gradient_solve, prox_objective
-from varseg.stage1 import (CandidateSet, ThetaEstimate, bcd_solve,
+from varseg.stage1 import (CandidateSet, ThetaEstimate, _active_set_refine,
+                           _lasso_gram_cd, _objective, bcd_solve,
                            build_stage1, extract_candidates, kkt_check,
                            soft_threshold)
 
@@ -66,6 +68,13 @@ def test_build_telescoping(data):
                                        atol=slack)
         np.testing.assert_array_equal(G[n - 1],
                                       np.outer(rows[n - 2], rows[n - 2]))
+        # bit for bit the flipped cumulative sum of the outer products,
+        # with block 1 repeated in front
+        lag, tgt = rows, problem.targets
+        for got, outer in ((G, lag[:, :, None] * lag[:, None, :]),
+                           (problem.suffix_cross, lag[:, :, None] * tgt[:, None, :])):
+            ref = np.flip(np.cumsum(np.flip(outer, 0), 0), 0)
+            assert got.tobytes() == np.concatenate([ref[:1], ref]).tobytes()
 
 
 @given(finite_series)
@@ -92,6 +101,42 @@ def test_soft_threshold_shrinks(x, lam):
     y = float(soft_threshold(x, lam))
     assert abs(y) <= max(abs(x) - lam, 0.0) + 1e-12
     assert y * x >= 0.0
+
+
+# ---------------------------------------------------------- _lasso_gram_cd
+
+CD_REGIMES = ("dense", "all_zero", "sparse", "flat_column", "warm", "one_pass")
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(CD_REGIMES))
+def test_cd_kernel_matches_reference(seed, regime):
+    rng = np.random.default_rng(seed)
+    q, p = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+    m = int(rng.integers(2, 30))
+    X = rng.standard_normal((m, q))
+    if regime == "flat_column":
+        X[:, rng.integers(q)] = 0.0
+    G, r = X.T @ X, X.T @ rng.standard_normal((m, p))
+    r_max = float(np.max(np.abs(r)))
+    kappa = {"dense": 0.0, "all_zero": 1.5 * r_max}.get(
+        regime, float(rng.uniform(0.1, 0.8)) * r_max)
+    theta0 = np.zeros((q, p))
+    if regime == "warm":
+        theta0 = rng.standard_normal((q, p)) * (rng.random((q, p)) < 0.5)
+    max_passes = 1 if regime == "one_pass" else 300
+
+    want, want_ok = lasso_gram_cd_reference(G, r, kappa, theta0.copy(), 1e-12, max_passes)
+    got = theta0.copy()
+    got_ok = _lasso_gram_cd(G, r, kappa, got, 1e-12, max_passes)
+    assert got_ok == want_ok
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    # skipped rows carry the signed zero a visit would leave, which
+    # serialized coefficients show
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    if regime == "all_zero":
+        assert not got.any()
 
 
 # --------------------------------------------------------------- bcd_solve
@@ -173,6 +218,26 @@ def test_solve_random_instances_certify(seed, lam):
     assert_monotone(est.objective_trace)
     if est.converged:
         assert kkt_check(problem, est, lam, tol_kkt=1e-4).passed
+
+
+@pytest.mark.parametrize("second", [0.2, -0.2])
+def test_refine_from_rank_deficient_support(second):
+    # blocks 1 and 2 span the same equations, so one coordinate nonzero in
+    # both gives a singular working Gram; with opposite signs the
+    # stationarity equalities on that support cannot be met at all
+    rng = np.random.default_rng(0)
+    problem = build_stage1(piecewise_series(rng, T=30, p=2, d=1, break_at=15), 1)
+    assert problem.suffix_gram[0].tobytes() == problem.suffix_gram[1].tobytes()
+    lam = 0.02
+    th = np.zeros((problem.n, 2, 2))
+    th[0, 0, 0], th[1, 0, 0] = 0.3, second
+    start = _objective(problem, th, lam, np.any(th, axis=(1, 2)))
+    cand, certified = _active_set_refine(problem, th, problem.n * lam / 2.0)
+    end = _objective(problem, cand, lam, np.any(cand, axis=(1, 2)))
+    assert end <= start
+    assert certified
+    oracle = prox_gradient_solve(problem, lam)
+    assert abs(end - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
 
 # --------------------------------------------------------------- kkt_check

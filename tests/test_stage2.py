@@ -78,6 +78,14 @@ def test_fit_segment_lags_cross_previous_break():
     assert fit.theta[0, 0] == pytest.approx((x @ y) / (x @ x))
 
 
+def test_fit_segment_reports_convergence():
+    rng = np.random.default_rng(6)
+    data = piecewise_series(rng, T=60, p=3, d=1, break_at=1_000)
+    assert fit_segment(data, (2, 61), d=1, eta=1e-4).converged
+    assert fit_segment(data, (2, 61), d=1, eta=0.0).converged
+    assert not fit_segment(data, (2, 61), d=1, eta=1e-4, max_passes=1).converged
+
+
 def test_fit_segment_errors():
     data = np.zeros((10, 1))
     with pytest.raises(ValueError, match="too short"):
