@@ -121,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--omega-v", dest="omega_v", type=float)
     sp.add_argument("--strategy", choices=("backward", "exhaustive"))
     sp.add_argument("--exhaustive-cap", dest="exhaustive_cap", type=int)
-    sp.add_argument("--strict", action="store_true", default=None)
+    sp.add_argument("--strict", action="store_true", default=None,
+                    help="exit 3 when a replicate fails, or its stage-1 solver "
+                         "or a fit of its returned segmentation fails to converge")
 
     sp = sub.add_parser("plot", help="render a saved plot bundle to SVG")
     _add_common(sp)
@@ -193,6 +195,7 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
               f"mean_rel={summary.mean_rel[k]:.4f} std_rel={summary.std_rel[k]:.4f}")
     print(f"exact_count_rate={summary.exact_count_rate:.2f}")
     if cfg.strict and any(r.get("error") or not r.get("stage1_converged", True)
+                          or not r.get("stage2_converged", True)
                           for r in summary.records):
         print("at least one replicate failed or did not converge", file=sys.stderr)
         return EXIT_NOCONV

@@ -183,6 +183,7 @@ def _run_one(preset: ScenarioPreset, seed: int, schedule: TuningSchedule | None,
             final_breaks=det.final_breaks,
             m_final=len(det.final_breaks),
             stage1_converged=det.stage1_estimate.converged,
+            stage2_converged=all(f.converged for f in det.stage2.fits),
             gamma_n=det.schedule.gamma_n,
             error=None,
         )

@@ -8,6 +8,11 @@ l1-penalized regression at level n * eta_n (n the global effective sample
 size), and a subset is scored by
 
     IC(subset) = sum_i sse_i + n * eta_n * sum_i ||theta_i||_1 + m * omega_n.
+
+Each penalized refit runs coordinate descent pass by pass and finishes with
+an exact solve of the stationarity equations on the support the passes
+settled on, kept only when it passes a KKT certificate; otherwise the
+descent runs on to its step tolerance.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ class SegmentFit:
     sse: float
     l1_norm: float
     converged: bool            # False when the CD fit stopped at max_passes
+    passes: int                # CD passes run (0 for the unpenalized solve)
+    certified: bool            # True when the support solve ended the fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +63,9 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
 
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
-    to a plain least-squares solve.
+    to a plain least-squares solve.  For eta > 0 the fit is converged when
+    a coordinate-descent pass moves no entry by tol or more, or when the
+    support solve of `_segment_lasso` is certified.
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
@@ -70,21 +79,78 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     j_lo, j_hi = max(lo - 1 - d, 0), hi - 1 - d
     A, B = lag[j_lo:j_hi], tgt[j_lo:j_hi]
 
-    converged = True
+    converged, passes, certified = True, 0, False
     if eta == 0.0:
         theta_t, *_ = np.linalg.lstsq(A, B, rcond=None)
     else:
         n = effective_sample_size(T, d)
-        gram = A.T @ A
-        cross = A.T @ B
-        theta_t = np.zeros((p * d, p))
-        converged = _lasso_gram_cd(gram, cross, n * eta / 2.0, theta_t,
-                                   tol, max_passes)
+        theta_t, passes, converged, certified = _segment_lasso(
+            A.T @ A, A.T @ B, n * eta / 2.0, tol, max_passes)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
                       l1_norm=float(np.sum(np.abs(theta_t))),
-                      converged=converged)
+                      converged=converged, passes=passes, certified=certified)
+
+
+def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, tol: float,
+                   max_passes: int) -> tuple[np.ndarray, int, bool, bool]:
+    """Cold-started coordinate descent with a certified support solve.
+
+    Runs `_lasso_gram_cd` one pass at a time.  Once two consecutive passes
+    leave the same support and signs, `_support_solve` tries to jump to the
+    optimum on that support; a failed attempt is not repeated until the
+    support or signs change.  Returns (theta, passes, converged, certified).
+    """
+    theta = np.zeros_like(r)
+    last = tried = None
+    for passes in range(1, max_passes + 1):
+        if _lasso_gram_cd(G, r, kappa, theta, tol, 1):
+            return theta, passes, True, False
+        signs = np.sign(theta)
+        if (last is not None and np.array_equal(signs, last)
+                and not np.array_equal(signs, tried)):
+            tried = signs
+            exact = _support_solve(G, r, kappa, theta, signs)
+            if exact is not None:
+                return exact, passes, True, True
+        last = signs
+    return theta, max_passes, False, False
+
+
+def _support_solve(G: np.ndarray, r: np.ndarray, kappa: float,
+                   theta: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
+    """Lasso optimum on the given supports and signs, or None.
+
+    Column c solves G_SS theta_S = r_S - kappa * signs_S on its support S.
+    Each column's support rows are gathered into a k x k system, k the
+    largest support, padded with the identity and a zero right-hand side,
+    so one batched solve covers every column; entries off the support keep
+    theta's (signed) zeros.  The result is accepted only on a KKT
+    certificate: finite, the same signs, every zero entry with
+    |r - G theta| <= kappa (1 + 1e-9), and the support equalities met
+    within 1e-9 kappa.  A singular support fails like any violation.
+    """
+    on = signs != 0.0
+    k = int(on.sum(axis=0).max())
+    rows = np.argsort(~on, axis=0, kind="stable")[:k].T       # p x k, support first
+    live = np.take_along_axis(on.T, rows, axis=1)
+    cols = np.broadcast_to(np.arange(r.shape[1])[:, None], rows.shape)
+    system = np.where(live[:, :, None] & live[:, None, :],
+                      G[rows[:, :, None], rows[:, None, :]], np.eye(k))
+    rhs = np.where(live, (r - kappa * signs)[rows, cols], 0.0)[:, :, None]
+    try:
+        solved = np.linalg.solve(system, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    exact = theta.copy()
+    exact[rows[live], cols[live]] = solved[live]
+    grad = r - G @ exact
+    if (np.all(np.isfinite(exact)) and np.array_equal(np.sign(exact), signs)
+            and np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-9))
+            and np.all(np.abs(grad[on] - kappa * signs[on]) <= 1e-9 * kappa)):
+        return exact
+    return None
 
 
 def _check_subset(breaks: tuple[int, ...], d: int, T: int) -> None:
@@ -104,17 +170,21 @@ def evaluate_subset(data: np.ndarray, breaks, d: int,
     T = X.shape[0]
     breaks = tuple(int(b) for b in breaks)
     _check_subset(breaks, d, T)
-    if cache is None:
-        cache = {}
-    bounds = (d + 1, *breaks, T + 1)
+    return _subset_loss(X, breaks, d, schedule.eta_n,
+                        effective_sample_size(T, d), {} if cache is None else cache)
+
+
+def _subset_loss(X: np.ndarray, breaks: tuple[int, ...], d: int, eta: float,
+                 n: int, cache: dict) -> tuple[float, tuple[SegmentFit, ...]]:
+    """`evaluate_subset` without its checks, for breaks known to be valid."""
+    bounds = (d + 1, *breaks, X.shape[0] + 1)
     fits = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        key = (lo, hi)
-        if key not in cache:
-            cache[key] = fit_segment(X, key, d, schedule.eta_n)
-        fits.append(cache[key])
-    n = effective_sample_size(T, d)
-    L = sum(f.sse for f in fits) + n * schedule.eta_n * sum(f.l1_norm for f in fits)
+    for key in zip(bounds, bounds[1:]):
+        fit = cache.get(key)
+        if fit is None:
+            fit = cache[key] = fit_segment(X, key, d, eta)
+        fits.append(fit)
+    L = sum([f.sse for f in fits]) + n * eta * sum([f.l1_norm for f in fits])
     return float(L), tuple(fits)
 
 
@@ -161,12 +231,16 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     if strategy not in ("backward", "exhaustive"):
         raise ValueError(f"unknown strategy {strategy!r}")
     cands = premerge_candidates(candidates, d, T)
+    # premerge spaces the candidates for this, and dropping breaks only
+    # widens segments, so every subset searched below is valid too
+    _check_subset(cands, d, T)
+    eta, n = schedule.eta_n, effective_sample_size(T, d)
     omega = schedule.omega_n
     cache: dict = {}
     trace: list[tuple[tuple[int, ...], float]] = []
 
     def score(subset: tuple[int, ...]) -> float:
-        L, _ = evaluate_subset(X, subset, d, schedule, cache)
+        L, _ = _subset_loss(X, subset, d, eta, n, cache)
         val = _ic(L, len(subset), omega)
         trace.append((subset, val))
         return val
@@ -183,8 +257,8 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
         current_val = score(current)
         while current:
             options = []
-            for drop in current:
-                subset = tuple(t for t in current if t != drop)
+            for i in range(len(current)):
+                subset = current[:i] + current[i + 1:]
                 options.append((score(subset), subset))
             cand_val, cand_subset = min(options)
             if cand_val >= current_val:
@@ -194,7 +268,7 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
             score(())
 
     best_val, _, best = min((val, (len(s), s), s) for s, val in trace)
-    L_best, fits = evaluate_subset(X, best, d, schedule, cache)
+    L_best, fits = _subset_loss(X, best, d, eta, n, cache)
     logger.debug("select_breaks[%s]: %d candidates -> %d breaks, ic=%.6g",
                  strategy, len(cands), len(best), best_val)
     return ScreeningResult(chosen_breaks=best, m_final=len(best),

@@ -231,6 +231,18 @@ def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
     assert (strict / "result.json").read_bytes() == (plain / "result.json").read_bytes()
 
 
+def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatch,
+                                                            capsys):
+    args = ["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1",
+            "--strict", "--out", str(tmp_path / "eval")]
+    assert main(args) == 0
+    monkeypatch.setattr(stage2, "fit_segment",
+                        functools.partial(stage2.fit_segment, max_passes=1))
+    capsys.readouterr()
+    assert main(args) == 3
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_cli_plot_rerenders_bundle(small_csv, tmp_path):
     det, rep = tmp_path / "det", tmp_path / "rep"
     assert main(["detect", "--input", str(small_csv), "--out", str(det)]) == 0

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cd_oracle import lasso_gram_cd_reference
 from conftest import piecewise_series
+from varseg import stage2
 from varseg.model import TuningSchedule, effective_sample_size
+from varseg.pipeline import detect
+from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import CandidateSet, soft_threshold
-from varseg.stage2 import (evaluate_subset, fit_segment, premerge_candidates,
-                           select_breaks)
+from varseg.stage2 import (_segment_lasso, evaluate_subset, fit_segment,
+                           premerge_candidates, select_breaks)
 
 
 def make_schedule(eta=0.0, omega=1.0):
@@ -84,6 +88,59 @@ def test_fit_segment_reports_convergence():
     assert fit_segment(data, (2, 61), d=1, eta=1e-4).converged
     assert fit_segment(data, (2, 61), d=1, eta=0.0).converged
     assert not fit_segment(data, (2, 61), d=1, eta=1e-4, max_passes=1).converged
+
+
+SOLVE_REGIMES = ("dense", "rank_deficient", "flat_column", "all_zero",
+                 "one_column")
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SOLVE_REGIMES))
+def test_segment_lasso_is_optimal(seed, regime):
+    rng = np.random.default_rng(seed)
+    q, p = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    if regime == "one_column":
+        q = 1
+    # rank_deficient: fewer segment rows than coefficient rows
+    m = int(rng.integers(1, q)) if regime == "rank_deficient" else 3 * q + 2
+    X = rng.standard_normal((m, q))
+    if regime == "flat_column":
+        X[:, rng.integers(q)] = 0.0
+    G, r = X.T @ X, X.T @ rng.standard_normal((m, p))
+    r_max = float(np.max(np.abs(r)))
+    kappa = (1.5 if regime == "all_zero" else float(rng.uniform(0.05, 0.8))) * r_max
+
+    theta, passes, converged, certified = _segment_lasso(G, r, kappa, 1e-13, 100_000)
+    assert converged and 1 <= passes
+    grad = r - G @ theta
+    on = theta != 0.0
+    assert np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-8))
+    assert np.all(np.abs(grad[on] - kappa * np.sign(theta[on])) <= 1e-8 * kappa)
+    want, want_ok = lasso_gram_cd_reference(G, r, kappa, np.zeros((q, p)),
+                                            1e-13, 100_000)
+    assert want_ok
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    assert float(np.max(np.abs(theta - want))) <= 1e-8 * scale
+    if regime == "all_zero":
+        assert not theta.any() and not certified
+
+
+def test_support_solve_keeps_the_search(monkeypatch):
+    # scenario 1, seed 0: the certified finish must leave the search as
+    # plain coordinate descent runs it
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, 0))
+    fast = detect(data, preset.d).stage2
+    monkeypatch.setattr(stage2, "_support_solve", lambda *args: None)
+    plain = detect(data, preset.d).stage2
+    assert fast.chosen_breaks == plain.chosen_breaks
+    assert [s for s, _ in fast.search_trace] == [s for s, _ in plain.search_trace]
+    for (_, a), (_, b) in zip(fast.search_trace, plain.search_trace):
+        assert a == pytest.approx(b, rel=1e-12)
+    assert all(f.converged for f in fast.fits + plain.fits)
+    assert any(f.certified for f in fast.fits)
+    assert not any(f.certified for f in plain.fits)
+    assert all(f.passes >= 2 for f in fast.fits if f.certified)
+    assert sum(f.passes for f in fast.fits) < sum(f.passes for f in plain.fits)
 
 
 def test_fit_segment_errors():
