@@ -26,8 +26,7 @@ def fmt(x, width=8, prec=4):
 
 def run(name, preset, args):
     t0 = time.perf_counter()
-    summary = run_replicates(preset, args.replicates, args.seed,
-                             strategy=args.strategy, jobs=args.jobs)
+    summary = run_replicates(preset, args.replicates, args.seed, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
 
     for k, t in enumerate(summary.truth):
@@ -59,8 +58,6 @@ def main(argv=None):
     ap.add_argument("--replicates", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--jobs", type=int, default=1)
-    ap.add_argument("--strategy", choices=("backward", "exhaustive"),
-                    default="backward")
     ap.add_argument("--with-null", action="store_true",
                     help="also run the single-regime control")
     ap.add_argument("--out", help="directory for summary artifacts")

@@ -9,8 +9,7 @@ from .pipeline import (DetectionResult, ReplicateSummary, detect, hausdorff,
 from .simulate import (ScenarioPreset, SimulationConfig, make_scenario,
                        scenario_preset, simulate)
 from .stage1 import (CandidateSet, KktReport, Stage1Problem, ThetaEstimate,
-                     bcd_solve, build_stage1, extract_candidates, kkt_check,
-                     soft_threshold)
+                     bcd_solve, build_stage1, extract_candidates, kkt_check)
 from .stage2 import (ScreeningResult, SegmentFit, evaluate_subset,
                      fit_segment, premerge_candidates, select_breaks)
 
@@ -23,7 +22,7 @@ __all__ = [
     "ScenarioPreset", "SimulationConfig", "make_scenario", "scenario_preset",
     "simulate",
     "Stage1Problem", "ThetaEstimate", "KktReport", "CandidateSet",
-    "build_stage1", "soft_threshold", "bcd_solve", "kkt_check",
+    "build_stage1", "bcd_solve", "kkt_check",
     "extract_candidates",
     "SegmentFit", "ScreeningResult", "fit_segment", "evaluate_subset",
     "premerge_candidates", "select_breaks",

@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from . import pipeline, plots, serialize
 from .model import validate_model
@@ -39,8 +40,6 @@ class RunConfig:
     lambda_c: float | None = None
     eta: float | None = None
     omega_v: float = 0.5
-    strategy: str = "backward"
-    exhaustive_cap: int = 12
     zero_tol: float | None = None
     seed: int = 0
     replicates: int = 20
@@ -63,14 +62,31 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         for key, val in doc.items():
+            _check_config_value(key, val)
             setattr(cfg, key, val)
     for name in known:
         val = getattr(args, name, None)
         if val is not None:
             setattr(cfg, name, val)
-    if cfg.strategy not in ("backward", "exhaustive"):
-        raise UsageError(f"invalid strategy {cfg.strategy!r}")
     return cfg
+
+
+def _check_config_value(name: str, val) -> None:
+    """Reject a config-file value that does not fit its RunConfig field.
+
+    An int passes for a float field, a bool only for a bool field, and
+    null only where the field defaults to None.
+    """
+    hint = get_type_hints(RunConfig)[name]
+    kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    if val is None:
+        ok = getattr(RunConfig, name) is None
+    elif isinstance(val, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(val, (int, float) if kind is float else kind)
+    if not ok:
+        raise UsageError(f"config key {name!r} needs {kind.__name__}, got {val!r}")
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -98,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, help="override the stage-2 level eta_n")
     sp.add_argument("--omega-v", dest="omega_v", type=float,
                     help="exponent v in the break charge omega_n")
-    sp.add_argument("--strategy", choices=("backward", "exhaustive"))
-    sp.add_argument("--exhaustive-cap", dest="exhaustive_cap", type=int)
     sp.add_argument("--zero-tol", dest="zero_tol", type=float)
     sp.add_argument("--difference", action="store_true", default=None,
                     help="first-difference the series after downsampling")
@@ -119,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda-c", dest="lambda_c", type=float)
     sp.add_argument("--eta", type=float)
     sp.add_argument("--omega-v", dest="omega_v", type=float)
-    sp.add_argument("--strategy", choices=("backward", "exhaustive"))
-    sp.add_argument("--exhaustive-cap", dest="exhaustive_cap", type=int)
     sp.add_argument("--strict", action="store_true", default=None,
                     help="exit 3 when a replicate fails, or its stage-1 solver "
                          "or a fit of its returned segmentation fails to converge")
@@ -161,8 +173,7 @@ def _cmd_detect(cfg: RunConfig) -> int:
                                 difference=cfg.difference, center=cfg.center)
     schedule = schedule_for_data(data, cfg.d, lambda_c=cfg.lambda_c,
                                  eta=cfg.eta, v=cfg.omega_v)
-    result = detect(data, cfg.d, schedule, strategy=cfg.strategy,
-                    exhaustive_cap=cfg.exhaustive_cap, zero_tol=cfg.zero_tol)
+    result = detect(data, cfg.d, schedule, zero_tol=cfg.zero_tol)
     serialize.dump_json(out / "result.json", serialize.detection_to_dict(result))
     bundle = plots.make_plot_bundle(data, result)
     serialize.dump_json(out / "plot_bundle.json", plots.bundle_to_dict(bundle))
@@ -186,8 +197,7 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
         schedule = schedule_for_data(probe, preset.d, lambda_c=cfg.lambda_c,
                                      eta=cfg.eta, v=cfg.omega_v)
     summary = run_replicates(preset, cfg.replicates, cfg.seed, schedule,
-                             strategy=cfg.strategy,
-                             exhaustive_cap=cfg.exhaustive_cap, jobs=cfg.jobs)
+                             jobs=cfg.jobs)
     serialize.dump_json(out / "summary.json", serialize.summary_to_dict(summary))
     serialize.write_summary_csv(out / "summary.csv", summary)
     for k, t in enumerate(summary.truth):

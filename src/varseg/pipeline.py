@@ -95,7 +95,6 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
 
 
 def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
-           strategy: str = "backward", exhaustive_cap: int = 12,
            zero_tol: float | None = None, max_sweeps: int = 200,
            tol: float = 1e-3) -> DetectionResult:
     """Run both stages on one series and return everything they produced."""
@@ -123,8 +122,7 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
 
     t0 = time.perf_counter()
     try:
-        screening = select_breaks(X, candidates, d, schedule,
-                                  strategy=strategy, exhaustive_cap=exhaustive_cap)
+        screening = select_breaks(X, candidates, d, schedule)
     except Exception as exc:
         raise PipelineError("stage2", str(exc)) from exc
     timings["stage2"] = time.perf_counter() - t0
@@ -169,14 +167,13 @@ def coverage_radius(schedule: TuningSchedule, T: int, d: int) -> int:
     return math.ceil(effective_sample_size(T, d) * schedule.gamma_n)
 
 
-def _run_one(preset: ScenarioPreset, seed: int, schedule: TuningSchedule | None,
-             strategy: str, exhaustive_cap: int) -> dict:
+def _run_one(preset: ScenarioPreset, seed: int,
+             schedule: TuningSchedule | None) -> dict:
     record: dict = {"seed": seed}
     try:
         config = make_scenario(preset, seed)
         data = simulate(config)
-        det = detect(data, preset.d, schedule,
-                     strategy=strategy, exhaustive_cap=exhaustive_cap)
+        det = detect(data, preset.d, schedule)
         record.update(
             candidates=det.stage1.indices,
             n_candidates=det.stage1.m_hat,
@@ -194,19 +191,20 @@ def _run_one(preset: ScenarioPreset, seed: int, schedule: TuningSchedule | None,
 
 def run_replicates(preset: ScenarioPreset, R: int, base_seed: int,
                    schedule: TuningSchedule | None = None, *,
-                   strategy: str = "backward", exhaustive_cap: int = 12,
                    jobs: int = 1) -> ReplicateSummary:
     """Detect on R seeded replicates of a scenario and aggregate.
 
     Replicate r uses seed base_seed + r; aggregation order is by replicate
-    index regardless of worker scheduling.
+    index regardless of worker scheduling.  The pool is no wider than R:
+    a fork-context pool starts all its workers at the first submit.
     """
     if R < 1:
         raise ValueError("R must be >= 1")
     seeds = [base_seed + r for r in range(R)]
-    args = [(preset, s, schedule, strategy, exhaustive_cap) for s in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    args = [(preset, s, schedule) for s in seeds]
+    workers = min(jobs, R)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one_star, args))
     else:
         records = [_run_one(*a) for a in args]

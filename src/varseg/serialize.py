@@ -152,7 +152,6 @@ def screening_to_dict(result: ScreeningResult) -> dict:
         "L_n": result.L_n,
         "omega_n": result.omega_n,
         "eta_n": result.eta_n,
-        "strategy": result.strategy,
         "trace": [{"subset": list(s), "ic": v} for s, v in result.search_trace],
     }
 

@@ -115,14 +115,6 @@ def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
                          lagged_rows=lag, targets=tgt)
 
 
-def soft_threshold(x, lam):
-    """Elementwise shrink-toward-zero: sign(x) * max(|x| - lam, 0)."""
-    if lam < 0:
-        raise ValueError("threshold must be >= 0")
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
-
-
 def _lasso_gram_cd(G, r, kappa, theta, tol, max_passes) -> bool:
     """Exact block subproblem solver in Gram form.
 

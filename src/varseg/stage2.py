@@ -17,7 +17,6 @@ descent runs on to its step tolerance.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 
@@ -51,7 +50,6 @@ class ScreeningResult:
     ic: float
     fits: tuple[SegmentFit, ...]
     search_trace: tuple[tuple[tuple[int, ...], float], ...]
-    strategy: str
     eta_n: float
     omega_n: float
 
@@ -216,20 +214,16 @@ def _ic(L: float, m: int, omega: float) -> float:
 
 
 def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
-                  schedule: TuningSchedule, strategy: str = "backward",
-                  exhaustive_cap: int = 12) -> ScreeningResult:
+                  schedule: TuningSchedule) -> ScreeningResult:
     """Pick the IC-minimizing subset of the (pre-merged) candidate set.
 
-    "backward" starts from the full set and greedily removes the candidate
-    whose removal decreases the IC most, then compares against the empty
-    set.  "exhaustive" scores every subset and is permitted only when the
-    merged candidate count is at most exhaustive_cap.  Ties break toward
-    fewer breaks, then lexicographically smaller break vectors.
+    Backward elimination starts from the full set and greedily removes the
+    candidate whose removal decreases the IC most, then compares against
+    the empty set.  Ties break toward fewer breaks, then lexicographically
+    smaller break vectors.
     """
     X = np.asarray(data, dtype=float)
     T = X.shape[0]
-    if strategy not in ("backward", "exhaustive"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     cands = premerge_candidates(candidates, d, T)
     # premerge spaces the candidates for this, and dropping breaks only
     # widens segments, so every subset searched below is valid too
@@ -245,34 +239,26 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
         trace.append((subset, val))
         return val
 
-    if strategy == "exhaustive":
-        if len(cands) > exhaustive_cap:
-            raise ValueError(
-                f"{len(cands)} candidates exceed exhaustive_cap={exhaustive_cap}")
-        for size in range(len(cands) + 1):
-            for subset in itertools.combinations(cands, size):
-                score(subset)
-    else:
-        current = tuple(cands)
-        current_val = score(current)
-        while current:
-            options = []
-            for i in range(len(current)):
-                subset = current[:i] + current[i + 1:]
-                options.append((score(subset), subset))
-            cand_val, cand_subset = min(options)
-            if cand_val >= current_val:
-                break
-            current, current_val = cand_subset, cand_val
-        if not any(s == () for s, _ in trace):
-            score(())
+    current = tuple(cands)
+    current_val = score(current)
+    while current:
+        options = []
+        for i in range(len(current)):
+            subset = current[:i] + current[i + 1:]
+            options.append((score(subset), subset))
+        cand_val, cand_subset = min(options)
+        if cand_val >= current_val:
+            break
+        current, current_val = cand_subset, cand_val
+    if not any(s == () for s, _ in trace):
+        score(())
 
     best_val, _, best = min((val, (len(s), s), s) for s, val in trace)
     L_best, fits = _subset_loss(X, best, d, eta, n, cache)
-    logger.debug("select_breaks[%s]: %d candidates -> %d breaks, ic=%.6g",
-                 strategy, len(cands), len(best), best_val)
+    logger.debug("select_breaks: %d candidates -> %d breaks, ic=%.6g",
+                 len(cands), len(best), best_val)
     return ScreeningResult(chosen_breaks=best, m_final=len(best),
                            L_n=float(L_best), ic=float(best_val),
                            fits=fits, search_trace=tuple(trace),
-                           strategy=strategy, eta_n=float(schedule.eta_n),
+                           eta_n=float(schedule.eta_n),
                            omega_n=float(schedule.omega_n))

@@ -2,12 +2,19 @@
 
 The plain cyclic loop the package kernel `_lasso_gram_cd` must reproduce:
 every row is visited on every pass, with no screening.  Slow but obvious,
-which is the point of an oracle.
+which is the point of an oracle.  `soft_threshold` is its row update, and
+the closed form of a one-coefficient lasso.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def soft_threshold(x, lam):
+    """Elementwise shrink-toward-zero: sign(x) * max(|x| - lam, 0)."""
+    x = np.asarray(x, dtype=float)
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
 def lasso_gram_cd_reference(G, r, kappa, theta, tol, max_passes):
@@ -27,7 +34,7 @@ def lasso_gram_cd_reference(G, r, kappa, theta, tol, max_passes):
                 theta[a] = 0.0
             else:
                 partial = r[a] - G[a] @ theta + diag[a] * theta[a]
-                theta[a] = np.sign(partial) * np.maximum(np.abs(partial) - kappa, 0.0) / diag[a]
+                theta[a] = soft_threshold(partial, kappa) / diag[a]
             step = np.max(np.abs(theta[a] - old))
             if step > delta:
                 delta = step

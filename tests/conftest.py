@@ -135,7 +135,7 @@ def small_candidate_runs():
     """Benchmark instances whose premerged candidate count is at most 10.
 
     A stiffer penalty (C = 1.1 * s^2) keeps stage 1 to a handful of
-    candidates so the exhaustive search stays inside its default cap.
+    candidates, so the brute-force search oracle (2^m subsets) stays cheap.
     """
     preset = scenario_preset(1)
     runs = []

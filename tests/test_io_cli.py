@@ -1,9 +1,11 @@
 """Serialization round trips, preprocessing, SVG output, and the CLI."""
 
 import functools
+import importlib.util
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from varseg.plots import (PlotBundle, bundle_from_dict, bundle_to_dict,
 from varseg.serialize import (DataError, dump_json, ingest_csv, load_json,
                               model_from_dict, model_to_dict, read_csv,
                               write_csv)
+from varseg.simulate import scenario_preset
 
 
 def _write(path, text):
@@ -208,7 +211,7 @@ def test_cli_detect_artifacts(small_csv, tmp_path, capsys):
     doc = load_json(out / "result.json")
     assert set(doc) == {"final_breaks", "final_models", "schedule",
                         "stage1", "stage2"}
-    assert doc["stage2"]["strategy"] == "backward"
+    assert "strategy" not in doc["stage2"]
     bundle = load_json(out / "plot_bundle.json")
     assert len(bundle["series"]) == 80
     assert bundle["final_markers"] == doc["final_breaks"]
@@ -278,13 +281,46 @@ def test_cli_evaluate_artifacts_and_flag_precedence(tmp_path):
 
 def test_cli_config_file_is_applied(small_csv, tmp_path):
     cfg = tmp_path / "cfg.json"
-    dump_json(cfg, {"strategy": "sideways"})
+    dump_json(cfg, {"d": 0})
     out = str(tmp_path / "o")
     assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
                  "--out", out]) == 1
     # a flag beats the config file's bad value
     assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--strategy", "backward", "--out", out]) == 0
+                 "--d", "1", "--out", out]) == 0
+
+
+@pytest.mark.parametrize("doc", [{"d": "1"}, {"downsample": "2"}, {"d": True},
+                                 {"d": None}, {"omega_v": "0.5"},
+                                 {"strategy": "backward"},
+                                 {"exhaustive_cap": 12}],
+                         ids=["str-for-int", "str-downsample", "bool-for-int",
+                              "null-for-int", "str-for-float",
+                              "removed-strategy", "removed-exhaustive-cap"])
+def test_cli_config_file_rejects_bad_values(small_csv, tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    dump_json(cfg, doc)
+    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"omega_v": 1}, {"lambda_c": None},
+                                 {"eta": 0}, {"center": False}],
+                         ids=["int-for-float", "null-where-default-null",
+                              "int-for-optional-float", "bool"])
+def test_cli_config_file_accepts_fitting_values(small_csv, tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    dump_json(cfg, doc)
+    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_removed_search_flags_are_usage_errors(small_csv, tmp_path):
+    out = str(tmp_path / "o")
+    assert main(["detect", "--input", str(small_csv), "--strategy", "backward",
+                 "--out", out]) == 1
+    assert main(["evaluate", "--exhaustive-cap", "12", "--out", out]) == 1
 
 
 def test_cli_config_file_rejects_unknown_keys(small_csv, tmp_path):
@@ -310,3 +346,17 @@ def test_cli_exit_codes(tmp_path):
     bad = _write(tmp_path / "bad.csv", "t,y1\n1,oops\n")
     assert main(["detect", "--input", str(bad), "--out", out]) == 2
     assert main(["frobnicate"]) == 1                              # parser error
+
+
+# ------------------------------------------------------------- scripts
+
+def test_run_scenarios_prints_one_row_per_true_break(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_scenarios.py"
+    spec = importlib.util.spec_from_file_location("run_scenarios", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--scenario", "1", "--replicates", "1"]) == 0
+    preset = scenario_preset(1)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith(preset.name)]
+    assert [int(row[1]) for row in rows] == list(preset.breaks)

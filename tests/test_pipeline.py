@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import piecewise_series
+from varseg import pipeline
 from varseg.model import default_schedule, effective_sample_size
 from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
                              PipelineError, coverage_radius, data_scale,
@@ -69,8 +70,10 @@ def test_detect_rejects_bad_input():
 def test_detect_labels_stage2_failures():
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=1, d=1, break_at=20)
+    # stage 1 never reads eta_n; the segment fits refuse it
+    schedule = replace(schedule_for_data(data, 1), eta_n=-1.0)
     with pytest.raises(PipelineError, match="^stage2:"):
-        detect(data, 1, strategy="sideways")
+        detect(data, 1, schedule)
 
 
 def test_detect_is_deterministic():
@@ -83,6 +86,20 @@ def test_detect_is_deterministic():
     np.testing.assert_array_equal(a.stage1_estimate.theta,
                                   b.stage1_estimate.theta)
     assert a.schedule == b.schedule
+
+
+@pytest.mark.parametrize("scenario, seed", [(1, 0), (3, 1)])
+def test_detect_breaks_invariant_to_scale_and_column_order(scenario, seed):
+    # every penalty scales with the average column variance, and the
+    # estimator treats the p columns symmetrically
+    preset = scenario_preset(scenario)
+    data = simulate(make_scenario(preset, seed))
+    breaks = detect(data, preset.d).final_breaks
+    assert breaks
+    for c in (1e-3, 1e3):
+        assert detect(c * data, preset.d).final_breaks == breaks
+    perm = np.random.default_rng(seed).permutation(data.shape[1])
+    assert detect(data[:, perm], preset.d).final_breaks == breaks
 
 
 def test_detect_benchmark_instance_localizes_both_breaks():
@@ -152,6 +169,32 @@ def test_run_replicates_parallel_matches_serial():
     parallel = run_replicates(SMALL_PRESET, R=3, base_seed=0, jobs=2)
     assert serial.records == parallel.records
     assert serial.selection_rate == parallel.selection_rate
+
+
+def test_run_replicates_pool_is_no_wider_than_replicates(monkeypatch):
+    widths = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its width, maps in-process."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+    summary = run_replicates(SMALL_PRESET, R=2, base_seed=0, jobs=1000)
+    assert widths == [2]
+    assert summary.records == run_replicates(SMALL_PRESET, R=2, base_seed=0).records
+    run_replicates(SMALL_PRESET, R=1, base_seed=0, jobs=1000)
+    assert widths == [2]       # one replicate runs in-process
 
 
 def test_run_replicates_single():

@@ -11,8 +11,7 @@ from conftest import assert_monotone, piecewise_series
 from prox_oracle import prox_gradient_solve, prox_objective
 from varseg.stage1 import (CandidateSet, ThetaEstimate, _active_set_refine,
                            _lasso_gram_cd, _objective, bcd_solve,
-                           build_stage1, extract_candidates, kkt_check,
-                           soft_threshold)
+                           build_stage1, extract_candidates, kkt_check)
 
 finite_series = arrays(
     float, st.tuples(st.integers(4, 12), st.integers(1, 3)),
@@ -83,24 +82,6 @@ def test_build_gram_symmetric_psd(data):
     for G in problem.suffix_gram:
         np.testing.assert_allclose(G, G.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(G)) > -1e-8 * max(1.0, np.max(np.abs(G)))
-
-
-# ---------------------------------------------------------- soft_threshold
-
-def test_soft_threshold_values():
-    assert soft_threshold(2.0, 1.0) == 1.0
-    assert soft_threshold(-0.5, 1.0) == 0.0
-    assert soft_threshold(0.0, 0.0) == 0.0
-    np.testing.assert_array_equal(soft_threshold([1.5, -2.5], 0.0), [1.5, -2.5])
-    with pytest.raises(ValueError):
-        soft_threshold(1.0, -0.1)
-
-
-@given(st.floats(-100, 100), st.floats(0, 50))
-def test_soft_threshold_shrinks(x, lam):
-    y = float(soft_threshold(x, lam))
-    assert abs(y) <= max(abs(x) - lam, 0.0) + 1e-12
-    assert y * x >= 0.0
 
 
 # ---------------------------------------------------------- _lasso_gram_cd

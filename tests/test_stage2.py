@@ -1,19 +1,18 @@
 """Second-stage refits, the screening criterion, and the subset search."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cd_oracle import lasso_gram_cd_reference
+from cd_oracle import lasso_gram_cd_reference, soft_threshold
 from conftest import piecewise_series
+from search_oracle import best_subset
 from varseg import stage2
 from varseg.model import TuningSchedule, effective_sample_size
 from varseg.pipeline import detect
 from varseg.simulate import make_scenario, scenario_preset, simulate
-from varseg.stage1 import CandidateSet, soft_threshold
+from varseg.stage1 import CandidateSet
 from varseg.stage2 import (_segment_lasso, evaluate_subset, fit_segment,
                            premerge_candidates, select_breaks)
 
@@ -29,6 +28,12 @@ def candidate_set(times, strengths=None):
         strengths = tuple(1.0 for _ in times)
     return CandidateSet(indices=times, m_hat=len(times),
                         segment_coefficients=(), strengths=tuple(strengths))
+
+
+def oracle(data, times, schedule, d=1):
+    """Brute-force minimum over every subset of the premerged times."""
+    merged = premerge_candidates(candidate_set(times), d, data.shape[0])
+    return best_subset(data, merged, d, schedule)
 
 
 def ar_series(T, phi=0.5, seed=0, sigma=0.1):
@@ -255,39 +260,31 @@ def test_select_huge_omega_prunes_everything():
     rng = np.random.default_rng(11)
     data = piecewise_series(rng, T=60, p=2, d=1, break_at=30)
     schedule = make_schedule(eta=0.0, omega=1e9)
-    for strategy in ("backward", "exhaustive"):
-        result = select_breaks(data, candidate_set((20, 30, 40)), 1, schedule,
-                               strategy=strategy)
-        assert result.m_final == 0
+    result = select_breaks(data, candidate_set((20, 30, 40)), 1, schedule)
+    assert result.m_final == 0
+    assert oracle(data, (20, 30, 40), schedule)[0] == ()
 
 
-def test_select_exhaustive_is_brute_force_minimum():
+def test_select_backward_is_brute_force_minimum():
     rng = np.random.default_rng(12)
     data = piecewise_series(rng, T=60, p=2, d=1, break_at=30)
     schedule = make_schedule(eta=1e-4, omega=0.05)
-    cands = (15, 30, 45)
-    result = select_breaks(data, candidate_set(cands), 1, schedule,
-                           strategy="exhaustive")
-    assert len(result.search_trace) == 2 ** len(cands)
-    cache = {}
-    best = min(
-        (evaluate_subset(data, s, 1, schedule, cache)[0] + len(s) * 0.05,
-         (len(s), s), s)
-        for size in range(4) for s in itertools.combinations(cands, size))
-    assert result.chosen_breaks == best[2]
-    assert result.ic == pytest.approx(best[0], rel=1e-12)
+    result = select_breaks(data, candidate_set((15, 30, 45)), 1, schedule)
+    best, ic = oracle(data, (15, 30, 45), schedule)
+    assert result.chosen_breaks == best
+    assert result.ic == pytest.approx(ic, rel=1e-12)
 
 
 def test_select_ic_identity_over_trace():
     rng = np.random.default_rng(13)
     data = piecewise_series(rng, T=50, p=1, d=1, break_at=25)
     schedule = make_schedule(eta=1e-3, omega=0.2)
-    result = select_breaks(data, candidate_set((12, 25, 38)), 1, schedule,
-                           strategy="exhaustive")
+    result = select_breaks(data, candidate_set((12, 25, 38)), 1, schedule)
     for subset, ic in result.search_trace:
         L, _ = evaluate_subset(data, subset, 1, schedule)
         assert ic == pytest.approx(L + len(subset) * 0.2, rel=1e-12)
     assert result.ic == pytest.approx(result.L_n + result.m_final * 0.2)
+    assert result.chosen_breaks == oracle(data, (12, 25, 38), schedule)[0]
 
 
 def test_select_backward_removals_strictly_decrease():
@@ -295,7 +292,7 @@ def test_select_backward_removals_strictly_decrease():
     data = piecewise_series(rng, T=80, p=2, d=1, break_at=40)
     schedule = make_schedule(eta=1e-4, omega=0.1)
     result = select_breaks(data, candidate_set((20, 30, 40, 50, 60)), 1,
-                           schedule, strategy="backward")
+                           schedule)
     sizes = [len(s) for s, _ in result.search_trace]
     assert sizes[0] == 5
     # the path from the full set to the final size loses one per round
@@ -312,41 +309,27 @@ def test_select_all_ties_prefer_empty():
     # zero data: every subset scores identically, fewest breaks must win
     data = np.zeros((40, 1))
     schedule = make_schedule(eta=0.0, omega=0.0)
-    for strategy in ("backward", "exhaustive"):
-        result = select_breaks(data, candidate_set((10, 20, 30)), 1, schedule,
-                               strategy=strategy)
-        assert result.chosen_breaks == ()
+    result = select_breaks(data, candidate_set((10, 20, 30)), 1, schedule)
+    assert result.chosen_breaks == ()
+    assert oracle(data, (10, 20, 30), schedule)[0] == ()
 
 
-def test_select_exhaustive_trace_order_is_deterministic():
+def test_select_backward_trace_order_is_deterministic():
+    # all ties: the first round removes nothing, then the empty set is scored
     data = np.zeros((40, 1))
     schedule = make_schedule(eta=0.0, omega=0.0)
-    result = select_breaks(data, candidate_set((12, 28)), 1, schedule,
-                           strategy="exhaustive")
-    assert [s for s, _ in result.search_trace] == [(), (12,), (28,), (12, 28)]
+    result = select_breaks(data, candidate_set((12, 28)), 1, schedule)
+    assert [s for s, _ in result.search_trace] == [(12, 28), (28,), (12,), ()]
 
 
 def test_select_pure_sse_when_unpenalized():
     rng = np.random.default_rng(15)
     data = piecewise_series(rng, T=60, p=1, d=1, break_at=30)
     schedule = make_schedule(eta=0.0, omega=0.0)
-    result = select_breaks(data, candidate_set((20, 30, 40)), 1, schedule,
-                           strategy="exhaustive")
+    result = select_breaks(data, candidate_set((20, 30, 40)), 1, schedule)
     # with no penalties the search is SSE minimization, so the full
     # candidate set (most flexible segmentation) attains the minimum
     sse = {s: v for s, v in result.search_trace}
     assert result.ic == min(sse.values())
     assert result.ic <= sse[(20, 30, 40)] + 1e-12
-
-
-def test_select_exhaustive_cap():
-    data = ar_series(60)
-    cands = candidate_set(tuple(range(10, 40, 2)))
-    with pytest.raises(ValueError, match="exhaustive_cap"):
-        select_breaks(data, cands, 1, make_schedule(), strategy="exhaustive")
-
-
-def test_select_unknown_strategy():
-    with pytest.raises(ValueError, match="strategy"):
-        select_breaks(ar_series(30), candidate_set(()), 1, make_schedule(),
-                      strategy="forward")
+    assert result.chosen_breaks == oracle(data, (20, 30, 40), schedule)[0]
