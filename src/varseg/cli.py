@@ -39,7 +39,7 @@ class RunConfig:
     d: int = 1
     lambda_c: float | None = None
     eta: float | None = None
-    omega_v: float = 0.5
+    omega_v: float | None = None    # None: the default exponent 0.5
     zero_tol: float | None = None
     seed: int = 0
     replicates: int = 20
@@ -151,6 +151,12 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _schedule(data, d: int, cfg: RunConfig):
+    """schedule_for_data with the run's overrides; 0.5 is the default v."""
+    return schedule_for_data(data, d, lambda_c=cfg.lambda_c, eta=cfg.eta,
+                             v=0.5 if cfg.omega_v is None else cfg.omega_v)
+
+
 def _cmd_simulate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     preset = scenario_preset(cfg.scenario)
@@ -171,8 +177,7 @@ def _cmd_detect(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     data = serialize.ingest_csv(cfg.input, downsample=cfg.downsample,
                                 difference=cfg.difference, center=cfg.center)
-    schedule = schedule_for_data(data, cfg.d, lambda_c=cfg.lambda_c,
-                                 eta=cfg.eta, v=cfg.omega_v)
+    schedule = _schedule(data, cfg.d, cfg)
     result = detect(data, cfg.d, schedule, zero_tol=cfg.zero_tol)
     serialize.dump_json(out / "result.json", serialize.detection_to_dict(result))
     bundle = plots.make_plot_bundle(data, result)
@@ -192,10 +197,11 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     preset = scenario_preset(cfg.scenario)
     schedule = None
-    if cfg.lambda_c is not None or cfg.eta is not None or cfg.omega_v != 0.5:
+    # any override fixes one schedule for all replicates; without one,
+    # each replicate derives its own from its data
+    if any(v is not None for v in (cfg.lambda_c, cfg.eta, cfg.omega_v)):
         probe = simulate(make_scenario(preset, cfg.seed))
-        schedule = schedule_for_data(probe, preset.d, lambda_c=cfg.lambda_c,
-                                     eta=cfg.eta, v=cfg.omega_v)
+        schedule = _schedule(probe, preset.d, cfg)
     summary = run_replicates(preset, cfg.replicates, cfg.seed, schedule,
                              jobs=cfg.jobs)
     serialize.dump_json(out / "summary.json", serialize.summary_to_dict(summary))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -94,6 +95,11 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
                    omega_n=float(OMEGA_SCALE * s2 * base.omega_n))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
            zero_tol: float | None = None, max_sweeps: int = 200,
            tol: float = 1e-3) -> DetectionResult:
@@ -104,6 +110,14 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
     T = X.shape[0]
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
+    # stage 1's suffix Grams and cross-products: n * q * (q + p) floats
+    p, q = X.shape[1], X.shape[1] * d
+    need = 8 * (T - d + 1) * q * (q + p)
+    have = _physical_memory()
+    if need > have:
+        raise PipelineError("input", f"stage 1 needs {need / 2**30:.1f} GiB of "
+                                     f"suffix arrays, more than the "
+                                     f"{have / 2**30:.1f} GiB of physical memory")
     if schedule is None:
         schedule = schedule_for_data(X, d)
 

@@ -4,10 +4,17 @@ The regression stacks one equation per usable response row and one p x (p*d)
 coefficient block theta_i per time index i = 1..n, n = T - d + 1.  Block 1 is
 the base coefficient; block i >= 2 is the increment that first affects the
 response at time t = i + d - 1, so nonzero increments mark candidate breaks.
-All block updates run on suffix Gram matrices G_i = sum_{l>=i} Y_{l-1} Y_{l-1}'
-so the sweep never touches raw design rows.
 
 Objective: (1/n) ||Y - Z Theta||_F^2 + lambda * sum_i ||theta_i||_1.
+
+The solve is a primal active-set method (Osborne, Presnell & Turlach, IMA
+J. Numer. Anal. 2000), run one response column at a time from zero: it
+admits the worst threshold violator, solves the stationarity equalities on
+the working support, and drops an entry whose sign would cross.  A sparse
+optimum is reached in a few admits and ends with a KKT certificate.  A
+cyclic block sweep is kept as the fallback for a start the active-set
+method cannot certify.  Both work on suffix Gram matrices
+G_i = sum_{l>=i} Y_{l-1} Y_{l-1}'; only the objective reads raw design rows.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class Stage1Problem:
-    """Precomputed sufficient statistics for the block sweep.
+    """Precomputed sufficient statistics for the stage-1 solvers.
 
     suffix_gram[b] and suffix_cross[b] (0-based block b, i = b + 1) hold
     sums over all equations the block participates in.  Block 0 spans the
@@ -81,7 +88,7 @@ def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
-    """Assemble suffix Grams and cross-products for the block sweep.
+    """Assemble suffix Grams and cross-products for the stage-1 solvers.
 
     The suffix sums are accumulated in place in the two returned arrays,
     so peak memory is one copy of them: n * (p*d) * (p*d + p) floats, plus
@@ -216,6 +223,8 @@ def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
 
 
 _REFINE_SUPPORT_CAP = 2500
+# pass cap of one inner block solve in the fallback sweep
+_INNER_PASSES = 1000
 
 
 def _column_gradient(G: np.ndarray, Ccol: np.ndarray, bb: np.ndarray,
@@ -230,8 +239,8 @@ def _column_gradient(G: np.ndarray, Ccol: np.ndarray, bb: np.ndarray,
 
 
 def _active_set_refine(problem: Stage1Problem, th: np.ndarray, kappa: float,
-                       max_rounds: int = 150) -> tuple[np.ndarray | None, bool]:
-    """Active-set finisher toward the exact minimizer, one column at a time.
+                       max_rounds: int = 150) -> tuple[np.ndarray, bool]:
+    """Active-set solve from th toward the exact minimizer, column by column.
 
     Response columns never couple, so each runs the classic primal scheme:
     solve the stationarity equalities on the working support (linear
@@ -289,9 +298,16 @@ def _active_set_refine(problem: Stage1Problem, th: np.ndarray, kappa: float,
                 if not np.all(np.isfinite(z)):
                     break
 
-                if float(np.max(np.abs(A @ z - rhs))) > tol_eq:
-                    if null_rows is None:
-                        break       # full rank yet unsolvable: hopeless conditioning
+                unmet = float(np.max(np.abs(A @ z - rhs))) > tol_eq
+                if unmet and null_rows is None:
+                    # full rank, so the miss is rounding on an
+                    # ill-conditioned support: one step of iterative
+                    # refinement with the same eigendecomposition
+                    z = z + Vk @ ((Vk.T @ (rhs - A @ z)) / w[kept])
+                    if not float(np.max(np.abs(A @ z - rhs))) <= tol_eq:
+                        break       # still unmet (or not finite): hopeless
+                    unmet = False
+                if unmet:
                     # equalities unattainable on this face: the objective
                     # descends along the null space until a sign crossing
                     w = -(null_rows.T @ (null_rows @ (A @ xv - rhs)))
@@ -387,21 +403,25 @@ def _objective(problem: Stage1Problem, th: np.ndarray, lam: float,
 
 def bcd_solve(problem: Stage1Problem, lam: float, max_sweeps: int = 200,
               tol: float = 1e-3, init: ThetaEstimate | None = None) -> ThetaEstimate:
-    """Cyclic block sweep over all n increments.
+    """Active-set solve from the start point, with a block sweep as fallback.
 
-    Each visit minimizes the objective exactly in the visited block (inner
-    coordinate descent at threshold n*lambda/2, the scale the stationarity
-    conditions demand), so the recorded objective never increases.  A block
-    whose coupled residual falls below the threshold keeps the exact zero
-    without entering the inner solver.  Stops once the largest coefficient
-    change in a sweep drops under `tol`.
+    The start is zero, or `init` when given.  `_active_set_refine` grows
+    the support from it; a certified candidate is the exact minimizer and
+    ends the run with no sweep (iterations=0).  An uncertified candidate
+    is adopted when it lowers the objective, and the cyclic block sweep
+    continues from the adopted point.
 
-    Sweeps alone can crawl when neighbouring blocks share nearly collinear
-    rows, so the equality part of the stationarity system is periodically
-    solved directly on the current support.  A verified solution ends the
-    run at the exact minimizer; an unverified one is still adopted when it
-    lowers the objective, which keeps the trace monotone while skipping
-    the crawl.
+    Each sweep visit minimizes the objective exactly in the visited block
+    (inner coordinate descent at threshold n*lambda/2, the scale the
+    stationarity conditions demand), so the recorded objective never
+    increases.  A block whose coupled residual falls below the threshold
+    keeps the exact zero without entering the inner solver.  The sweep
+    settles once the largest coefficient change in a sweep drops under
+    `tol`, and every few sweeps it hands its iterate to the active-set
+    method again, adopting the candidate by the same rule.
+
+    converged is True on a certificate, or when the sweep settled and no
+    inner solve ran out of passes.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -417,13 +437,25 @@ def bcd_solve(problem: Stage1Problem, lam: float, max_sweeps: int = 200,
             raise ValueError("init has mismatched shape")
         th[:] = np.swapaxes(init.theta, 1, 2)
     active = np.array([bool(np.any(th[b])) for b in range(n)])
-
-    Q = np.zeros((n, q, p))
     trace = [_objective(problem, th, lam, active)]
-    converged = False
+
+    def refine(th, active):
+        """Active-set candidate from th, adopted if certified or lower."""
+        cand, certified = _active_set_refine(problem, th, kappa)
+        cand_active = np.any(np.any(cand != 0.0, axis=2), axis=1)
+        cand_obj = _objective(problem, cand, lam, cand_active)
+        if certified or cand_obj < trace[-1]:
+            trace.append(cand_obj)
+            return cand, cand_active, True, certified
+        return th, active, False, False
+
+    th, active, _, converged = refine(th, active)
     sweeps = 0
+    inner_ok = True
+    Q = np.zeros((n, q, p))
     next_try = 2
-    for sweeps in range(1, max_sweeps + 1):
+    while not converged and sweeps < max_sweeps:
+        sweeps += 1
         _coupling_suffix(G, th, active, Q)
         prefix = np.zeros((q, p))
         max_delta = 0.0
@@ -431,10 +463,10 @@ def bcd_solve(problem: Stage1Problem, lam: float, max_sweeps: int = 200,
             r = Cc[b] - G[b] @ prefix - Q[b]
             if active[b]:
                 old = th[b].copy()
-                _lasso_gram_cd(G[b], r, kappa, th[b], inner_tol, 1000)
+                inner_ok &= _lasso_gram_cd(G[b], r, kappa, th[b], inner_tol, _INNER_PASSES)
                 step = float(np.max(np.abs(th[b] - old)))
             elif float(np.max(np.abs(r))) > kappa:
-                _lasso_gram_cd(G[b], r, kappa, th[b], inner_tol, 1000)
+                inner_ok &= _lasso_gram_cd(G[b], r, kappa, th[b], inner_tol, _INNER_PASSES)
                 step = float(np.max(np.abs(th[b])))
             else:
                 step = 0.0       # zero block is already optimal
@@ -446,23 +478,14 @@ def bcd_solve(problem: Stage1Problem, lam: float, max_sweeps: int = 200,
         trace.append(_objective(problem, th, lam, active))
         settling = max_delta < tol
         if sweeps >= next_try or settling:
-            cand, certified = _active_set_refine(problem, th, kappa)
-            improved = False
-            if cand is not None:
-                cand_active = np.any(np.any(cand != 0.0, axis=2), axis=1)
-                cand_obj = _objective(problem, cand, lam, cand_active)
-                if certified or cand_obj < trace[-1]:
-                    th, active = cand, cand_active
-                    trace.append(cand_obj)
-                    improved = True
-            if certified:
-                converged = True
+            th, active, improved, converged = refine(th, active)
+            if converged:
                 break
             next_try = sweeps + (2 if improved else 8)
             if improved:
                 settling = False    # the jump moved the iterate, keep going
         if settling:
-            converged = True
+            converged = inner_ok
             break
     logger.debug("bcd_solve: %d sweeps, converged=%s, objective=%.6g",
                  sweeps, converged, trace[-1])

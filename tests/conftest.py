@@ -101,28 +101,36 @@ def s1_detections():
     return out
 
 
+def solver_instance(k):
+    """Solver instance k of the oracle gate: a (problem, lambda) pair.
+
+    Even k draw scaled white noise, odd k a piecewise VAR, within the
+    envelope n <= 50, p <= 3, d <= 2, lambda in {0.01, 0.1, 1}.
+    """
+    rng = np.random.default_rng(1_000 + k)
+    n = int(rng.integers(15, 51))
+    p = int(rng.integers(1, 4))
+    d = int(rng.integers(1, 3))
+    T = n + d - 1
+    if k % 2 == 0:
+        data = rng.standard_normal((T, p)) * rng.uniform(0.05, 2.0)
+    else:
+        data = piecewise_series(rng, T, p, d, break_at=T // 2 + d)
+    lam = float(rng.choice([0.01, 0.1, 1.0]))
+    return build_stage1(data, d), lam
+
+
 @pytest.fixture(scope="session")
 def solver_instances():
     """50 random small instances plus the total solve time in seconds.
 
-    Each instance is a (problem, lambda, estimate) triple; the mix covers
-    scaled white noise and piecewise VAR draws within the envelope
-    n <= 50, p <= 3, d <= 2, lambda in {0.01, 0.1, 1}.
+    Each instance is a (problem, lambda, estimate) triple built by
+    `solver_instance`.
     """
     out = []
     t_total = 0.0
     for k in range(50):
-        rng = np.random.default_rng(1_000 + k)
-        n = int(rng.integers(15, 51))
-        p = int(rng.integers(1, 4))
-        d = int(rng.integers(1, 3))
-        T = n + d - 1
-        if k % 2 == 0:
-            data = rng.standard_normal((T, p)) * rng.uniform(0.05, 2.0)
-        else:
-            data = piecewise_series(rng, T, p, d, break_at=T // 2 + d)
-        lam = float(rng.choice([0.01, 0.1, 1.0]))
-        problem = build_stage1(data, d)
+        problem, lam = solver_instance(k)
         t0 = time.perf_counter()
         estimate = bcd_solve(problem, lam, max_sweeps=5_000, tol=1e-10)
         t_total += time.perf_counter() - t0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import piecewise_series
-from varseg import stage2
+from varseg import cli, pipeline, stage1, stage2
 from varseg.cli import main
 from varseg.model import SegmentedVarModel
 from varseg.plots import (PlotBundle, bundle_from_dict, bundle_to_dict,
@@ -244,6 +244,51 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
     capsys.readouterr()
     assert main(args) == 3
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_cli_strict_trips_on_stage1_pass_cap(small_csv, tmp_path, monkeypatch,
+                                            capsys):
+    # force the fallback sweep, then starve its block solves of passes
+    monkeypatch.setattr(stage1, "_active_set_refine",
+                        lambda problem, th, kappa, *args: (th.copy(), False))
+    monkeypatch.setattr(stage1, "_INNER_PASSES", 1)
+    capsys.readouterr()
+    assert main(["detect", "--input", str(small_csv), "--out",
+                 str(tmp_path / "o"), "--strict"]) == 3
+    assert "stage-1" in capsys.readouterr().err
+
+
+def test_cli_detect_refuses_input_beyond_memory(small_csv, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 1024)
+    monkeypatch.setattr(pipeline, "build_stage1", None)   # must not be reached
+    assert main(["detect", "--input", str(small_csv), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "GiB" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, v", [([], None), (["--omega-v", "0.5"], 0.5),
+                                      (["--omega-v", "0.50001"], 0.50001),
+                                      (["--eta", "0.1"], 0.5)],
+                         ids=["no-override", "omega-v-default",
+                              "omega-v-off-default", "eta"])
+def test_cli_evaluate_override_fixes_shared_schedule(tmp_path, monkeypatch,
+                                                     flags, v):
+    # an override flag, even one equal to the default, fixes one shared
+    # schedule; without one each replicate derives its own (None)
+    seen = []
+
+    def spy(preset, R, base_seed, schedule=None, **kw):
+        seen.append(schedule)
+        return pipeline.run_replicates(preset, R, base_seed, schedule, **kw)
+
+    monkeypatch.setattr(cli, "run_replicates", spy)
+    assert main(["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1",
+                 *flags, "--out", str(tmp_path / "eval")]) == 0
+    assert len(seen) == 1
+    assert (seen[0] is None) == (v is None)
+    if v is not None:
+        assert seen[0].v_exponent == v
 
 
 def test_cli_plot_rerenders_bundle(small_csv, tmp_path):

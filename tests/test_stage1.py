@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cd_oracle import lasso_gram_cd_reference
-from conftest import assert_monotone, piecewise_series
+from conftest import assert_monotone, piecewise_series, solver_instance
 from prox_oracle import prox_gradient_solve, prox_objective
+from varseg import stage1
+from varseg.pipeline import schedule_for_data
+from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import (CandidateSet, ThetaEstimate, _active_set_refine,
                            _lasso_gram_cd, _objective, bcd_solve,
                            build_stage1, extract_candidates, kkt_check)
@@ -219,6 +222,80 @@ def test_refine_from_rank_deficient_support(second):
     assert certified
     oracle = prox_gradient_solve(problem, lam)
     assert abs(end - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+
+def test_refine_certifies_ill_conditioned_instance_from_zero():
+    # oracle-gate instance 48 (n=41, p=3, d=2, lambda=0.01): its optimal
+    # support is full rank but so ill-conditioned that one eigh solve
+    # misses the equalities; the refinement step recovers them
+    problem, lam = solver_instance(48)
+    assert (problem.n, problem.p, problem.d, lam) == (41, 3, 2, 0.01)
+    zeros = np.zeros((problem.n, problem.p * problem.d, problem.p))
+    cand, certified = _active_set_refine(problem, zeros, problem.n * lam / 2.0)
+    assert certified
+    got = _objective(problem, cand, lam, np.any(cand, axis=(1, 2)))
+    oracle = prox_gradient_solve(problem, lam)
+    assert abs(got - oracle) <= 1e-6 * abs(oracle)
+
+
+def _break_instance():
+    rng = np.random.default_rng(3)
+    return build_stage1(piecewise_series(rng, T=40, p=2, d=1, break_at=20), 1), 0.005
+
+
+def _uncertified_first_call(monkeypatch):
+    """Make the first active-set call hand back the start point, uncertified."""
+    real = stage1._active_set_refine
+    calls = []
+
+    def patched(problem, th, kappa, *args):
+        calls.append(1)
+        if len(calls) == 1:
+            return th.copy(), False
+        return real(problem, th, kappa, *args)
+
+    monkeypatch.setattr(stage1, "_active_set_refine", patched)
+    return calls
+
+
+def test_solve_falls_back_to_sweep(monkeypatch):
+    problem, lam = _break_instance()
+    direct = bcd_solve(problem, lam)
+    assert direct.iterations == 0 and direct.theta[1:].any()
+    calls = _uncertified_first_call(monkeypatch)
+    est = bcd_solve(problem, lam)
+    assert len(calls) > 1 and est.iterations > 0
+    assert est.converged
+    assert kkt_check(problem, est, lam).passed
+    assert_monotone(est.objective_trace)
+    want, got = direct.objective_trace[-1], est.objective_trace[-1]
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_solve_reports_inner_pass_cap(monkeypatch):
+    # a fallback sweep whose block solves run out of passes must not
+    # report convergence, even once the sweep settles
+    problem, lam = _break_instance()
+    monkeypatch.setattr(stage1, "_active_set_refine",
+                        lambda problem, th, kappa, *args: (th.copy(), False))
+    assert bcd_solve(problem, lam).converged
+    monkeypatch.setattr(stage1, "_INNER_PASSES", 1)
+    est = bcd_solve(problem, lam)
+    assert est.iterations > 0
+    assert not est.converged
+
+
+def test_cold_solve_certifies_without_sweeps():
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, 0))
+    lam = schedule_for_data(data, preset.d).lambda_n
+    problem = build_stage1(data, preset.d)
+    est = bcd_solve(problem, lam)
+    assert est.iterations == 0
+    assert est.converged
+    assert len(est.objective_trace) == 2
+    assert_monotone(est.objective_trace)
+    assert kkt_check(problem, est, lam).passed
 
 
 # --------------------------------------------------------------- kkt_check
