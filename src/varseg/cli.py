@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="subtract column means")
     sp.add_argument("--strict", action="store_true", default=None,
                     help="exit 3 when the stage-1 solver or a fit of the "
-                         "returned segmentation fails to converge")
+                         "returned segmentation fails to converge (it is "
+                         "reported on stderr either way)")
 
     sp = sub.add_parser("evaluate", help="replicate study on a scenario")
     _add_common(sp)
@@ -184,13 +185,15 @@ def _cmd_detect(cfg: RunConfig) -> int:
     serialize.dump_json(out / "plot_bundle.json", plots.bundle_to_dict(bundle))
     plots.render_svg(bundle, out / "plot.svg")
     print("breaks:", " ".join(str(b) for b in result.final_breaks) or "(none)")
-    if cfg.strict and not result.stage1_estimate.converged:
+    # reported either way; --strict only turns it into the exit code
+    failed = False
+    if not result.stage1_estimate.converged:
         print("stage-1 solver did not converge", file=sys.stderr)
-        return EXIT_NOCONV
-    if cfg.strict and not all(f.converged for f in result.stage2.fits):
+        failed = True
+    if not all(f.converged for f in result.stage2.fits):
         print("stage-2 segment fit did not converge", file=sys.stderr)
-        return EXIT_NOCONV
-    return EXIT_OK
+        failed = True
+    return EXIT_NOCONV if cfg.strict and failed else EXIT_OK
 
 
 def _cmd_evaluate(cfg: RunConfig) -> int:

@@ -101,8 +101,7 @@ def _physical_memory() -> int:
 
 
 def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
-           zero_tol: float | None = None, max_sweeps: int = 200,
-           tol: float = 1e-3) -> DetectionResult:
+           zero_tol: float | None = None) -> DetectionResult:
     """Run both stages on one series and return everything they produced."""
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
@@ -125,8 +124,7 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
     t0 = time.perf_counter()
     try:
         problem = build_stage1(X, d)
-        estimate = bcd_solve(problem, schedule.lambda_n,
-                             max_sweeps=max_sweeps, tol=tol)
+        estimate = bcd_solve(problem, schedule.lambda_n)
         candidates = extract_candidates(estimate, zero_tol, d)
     except PipelineError:
         raise

@@ -9,10 +9,12 @@ size), and a subset is scored by
 
     IC(subset) = sum_i sse_i + n * eta_n * sum_i ||theta_i||_1 + m * omega_n.
 
-Each penalized refit runs coordinate descent pass by pass and finishes with
+Each penalized refit runs cyclic coordinate descent pass by pass
+(`_lasso_gram_cd`, a plain loop that visits every row) and finishes with
 an exact solve of the stationarity equations on the support the passes
 settled on, kept only when it passes a KKT certificate; otherwise the
-descent runs on to its step tolerance.
+descent runs on to its step tolerance.  `tests/cd_oracle.py` keeps the
+reference loop the kernel is checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TuningSchedule, effective_sample_size
-from .stage1 import CandidateSet, _lagged_design, _lasso_gram_cd
+from .stage1 import CandidateSet, _lagged_design
 
 logger = logging.getLogger(__name__)
 
@@ -91,19 +93,46 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
                       converged=converged, passes=passes, certified=certified)
 
 
+def _lasso_gram_cd(G: np.ndarray, r: np.ndarray, kappa: float,
+                   theta: np.ndarray) -> float:
+    """One cyclic coordinate-descent pass of the Gram-form lasso, in place.
+
+    Minimizes sum_c [theta_c' G theta_c - 2 r_c' theta_c] plus the l1
+    charge with per-entry threshold kappa over the rows of theta (all
+    response columns of one row move together), visiting every row once.
+    Returns the largest change of any entry in the pass.
+    """
+    diag = np.diag(G)
+    delta = 0.0
+    for a in range(G.shape[0]):
+        old = theta[a]
+        if diag[a] <= 0.0:
+            # No curvature: only exactly-zero data columns land here.
+            new = np.zeros_like(old)
+        else:
+            partial = r[a] - G[a] @ theta + diag[a] * old
+            new = np.sign(partial) * np.maximum(np.abs(partial) - kappa, 0.0) / diag[a]
+        step = np.abs(new - old).max()
+        theta[a] = new
+        if step > delta:
+            delta = step
+    return float(delta)
+
+
 def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, tol: float,
                    max_passes: int) -> tuple[np.ndarray, int, bool, bool]:
     """Cold-started coordinate descent with a certified support solve.
 
-    Runs `_lasso_gram_cd` one pass at a time.  Once two consecutive passes
-    leave the same support and signs, `_support_solve` tries to jump to the
-    optimum on that support; a failed attempt is not repeated until the
-    support or signs change.  Returns (theta, passes, converged, certified).
+    Runs `_lasso_gram_cd` one pass at a time and stops once a pass moves no
+    entry by tol or more.  Once two consecutive passes leave the same
+    support and signs, `_support_solve` tries to jump to the optimum on
+    that support; a failed attempt is not repeated until the support or
+    signs change.  Returns (theta, passes, converged, certified).
     """
     theta = np.zeros_like(r)
     last = tried = None
     for passes in range(1, max_passes + 1):
-        if _lasso_gram_cd(G, r, kappa, theta, tol, 1):
+        if _lasso_gram_cd(G, r, kappa, theta) < tol:
             return theta, passes, True, False
         signs = np.sign(theta)
         if (last is not None and np.array_equal(signs, last)

@@ -1,9 +1,11 @@
 """Reference coordinate descent for the Gram-form lasso block problem.
 
-The plain cyclic loop the package kernel `_lasso_gram_cd` must reproduce:
-every row is visited on every pass, with no screening.  Slow but obvious,
-which is the point of an oracle.  `soft_threshold` is its row update, and
-the closed form of a one-coefficient lasso.
+The plain cyclic loop the package kernel `stage2._lasso_gram_cd` must
+reproduce: every row is visited on every pass.  The kernel is the same
+loop run one pass per call; this copy, with its own pass loop and stopping
+rule, is the reference it is checked against.  Slow but obvious, which is
+the point of an oracle.  `soft_threshold` is its row update, and the closed
+form of a one-coefficient lasso.
 """
 
 from __future__ import annotations

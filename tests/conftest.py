@@ -132,7 +132,7 @@ def solver_instances():
     for k in range(50):
         problem, lam = solver_instance(k)
         t0 = time.perf_counter()
-        estimate = bcd_solve(problem, lam, max_sweeps=5_000, tol=1e-10)
+        estimate = bcd_solve(problem, lam)
         t_total += time.perf_counter() - t0
         out.append((problem, lam, estimate))
     return out, t_total

@@ -225,8 +225,9 @@ def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
     monkeypatch.setattr(stage2, "fit_segment",
                         functools.partial(stage2.fit_segment, max_passes=1))
     plain, strict = tmp_path / "plain", tmp_path / "strict"
-    assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
     capsys.readouterr()
+    assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
+    assert "stage-2 segment fit did not converge" in capsys.readouterr().err
     assert main(["detect", "--input", str(small_csv), "--out", str(strict),
                  "--strict"]) == 3
     assert "stage-2" in capsys.readouterr().err
@@ -246,16 +247,32 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
     assert "did not converge" in capsys.readouterr().err
 
 
-def test_cli_strict_trips_on_stage1_pass_cap(small_csv, tmp_path, monkeypatch,
-                                            capsys):
-    # force the fallback sweep, then starve its block solves of passes
+def _cap_active_set_rounds(monkeypatch):
+    """Leave stage 1 uncertified: one active-set round per column."""
     monkeypatch.setattr(stage1, "_active_set_refine",
-                        lambda problem, th, kappa, *args: (th.copy(), False))
-    monkeypatch.setattr(stage1, "_INNER_PASSES", 1)
+                        functools.partial(stage1._active_set_refine, max_rounds=1))
+
+
+def test_cli_reports_uncertified_stage1(small_csv, tmp_path, monkeypatch, capsys):
+    _cap_active_set_rounds(monkeypatch)
+    plain, strict = tmp_path / "plain", tmp_path / "strict"
     capsys.readouterr()
-    assert main(["detect", "--input", str(small_csv), "--out",
-                 str(tmp_path / "o"), "--strict"]) == 3
-    assert "stage-1" in capsys.readouterr().err
+    assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
+    assert "stage-1 solver did not converge" in capsys.readouterr().err
+    # --strict changes the exit code only
+    assert main(["detect", "--input", str(small_csv), "--out", str(strict),
+                 "--strict"]) == 3
+    assert "stage-1 solver did not converge" in capsys.readouterr().err
+    assert (strict / "result.json").read_bytes() == (plain / "result.json").read_bytes()
+
+
+def test_cli_evaluate_strict_trips_on_uncertified_stage1(tmp_path, monkeypatch,
+                                                         capsys):
+    _cap_active_set_rounds(monkeypatch)
+    capsys.readouterr()
+    assert main(["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1",
+                 "--strict", "--out", str(tmp_path / "eval")]) == 3
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_cli_detect_refuses_input_beyond_memory(small_csv, tmp_path, monkeypatch,

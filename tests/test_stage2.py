@@ -13,8 +13,8 @@ from varseg.model import TuningSchedule, effective_sample_size
 from varseg.pipeline import detect
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import CandidateSet
-from varseg.stage2 import (_segment_lasso, evaluate_subset, fit_segment,
-                           premerge_candidates, select_breaks)
+from varseg.stage2 import (_lasso_gram_cd, _segment_lasso, evaluate_subset,
+                           fit_segment, premerge_candidates, select_breaks)
 
 
 def make_schedule(eta=0.0, omega=1.0):
@@ -42,6 +42,46 @@ def ar_series(T, phi=0.5, seed=0, sigma=0.1):
     for t in range(1, T):
         y[t] = phi * y[t - 1] + sigma * rng.standard_normal()
     return y
+
+
+# ----------------------------------------------------------- _lasso_gram_cd
+
+CD_REGIMES = ("dense", "all_zero", "sparse", "flat_column", "warm", "one_pass")
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(CD_REGIMES))
+def test_cd_kernel_matches_reference(seed, regime):
+    rng = np.random.default_rng(seed)
+    q, p = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+    m = int(rng.integers(2, 30))
+    X = rng.standard_normal((m, q))
+    if regime == "flat_column":
+        X[:, rng.integers(q)] = 0.0
+    G, r = X.T @ X, X.T @ rng.standard_normal((m, p))
+    r_max = float(np.max(np.abs(r)))
+    kappa = {"dense": 0.0, "all_zero": 1.5 * r_max}.get(
+        regime, float(rng.uniform(0.1, 0.8)) * r_max)
+    theta0 = np.zeros((q, p))
+    if regime == "warm":
+        theta0 = rng.standard_normal((q, p)) * (rng.random((q, p)) < 0.5)
+    max_passes = 1 if regime == "one_pass" else 300
+
+    want, want_ok = lasso_gram_cd_reference(G, r, kappa, theta0.copy(), 1e-12, max_passes)
+    got = theta0.copy()
+    got_ok = False
+    for _ in range(max_passes):
+        if _lasso_gram_cd(G, r, kappa, got) < 1e-12:
+            got_ok = True
+            break
+    assert got_ok == want_ok
+    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    # zero rows carry the signed zero of their update, which serialized
+    # coefficients show
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    if regime == "all_zero":
+        assert not got.any()
 
 
 # -------------------------------------------------------------- fit_segment
