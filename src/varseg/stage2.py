@@ -9,12 +9,16 @@ size), and a subset is scored by
 
     IC(subset) = sum_i sse_i + n * eta_n * sum_i ||theta_i||_1 + m * omega_n.
 
-Each penalized refit runs cyclic coordinate descent pass by pass
-(`_lasso_gram_cd`, a plain loop that visits every row) and finishes with
-an exact solve of the stationarity equations on the support the passes
-settled on, kept only when it passes a KKT certificate; otherwise the
-descent runs on to its step tolerance.  `tests/cd_oracle.py` keeps the
-reference loop the kernel is checked against.
+Each penalized refit first tries a short primal-dual active-set chain
+from zero (`_newton_finish`, a semismooth Newton method: Hintermueller,
+Ito & Kunisch, SIAM J. Optim. 2002), whose steps are exact solves of the
+stationarity equations on the signs the iterate implies, kept only when
+one passes a KKT certificate.  If it does not certify, cyclic coordinate
+descent runs pass by pass (`_lasso_gram_cd`, a plain loop that visits
+every row) and the chain is retried from the descent iterate whenever its
+signs change; the descent alone finishes by its step tolerance.
+`tests/cd_oracle.py` keeps the reference loop the kernel is checked
+against.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 SEGMENT_TOL = 1e-7
 SEGMENT_MAX_PASSES = 10_000
+_NEWTON_STEPS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +45,9 @@ class SegmentFit:
     sse: float
     l1_norm: float
     converged: bool            # False when the CD fit stopped at max_passes
-    passes: int                # CD passes run (0 for the unpenalized solve)
-    certified: bool            # True when the support solve ended the fit
+    passes: int                # CD passes run (0 for the unpenalized solve,
+                               # and for a fit certified from zero)
+    certified: bool            # True when a Newton chain ended the fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,9 +69,10 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
 
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
-    to a plain least-squares solve.  For eta > 0 the fit is converged when
-    a coordinate-descent pass moves no entry by tol or more, or when the
-    support solve of `_segment_lasso` is certified.
+    to a plain least-squares solve.  For eta > 0, `_segment_lasso` tries a
+    Newton chain from zero, then runs coordinate-descent passes with chain
+    retries; the fit is converged when a chain is certified or, the only
+    way to finish by tol, when a pass moves no entry by tol or more.
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
@@ -121,62 +128,78 @@ def _lasso_gram_cd(G: np.ndarray, r: np.ndarray, kappa: float,
 
 def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, tol: float,
                    max_passes: int) -> tuple[np.ndarray, int, bool, bool]:
-    """Cold-started coordinate descent with a certified support solve.
+    """Newton chain from zero, then coordinate descent with retries.
 
-    Runs `_lasso_gram_cd` one pass at a time and stops once a pass moves no
-    entry by tol or more.  Once two consecutive passes leave the same
-    support and signs, `_support_solve` tries to jump to the optimum on
-    that support; a failed attempt is not repeated until the support or
-    signs change.  Returns (theta, passes, converged, certified).
+    `_newton_finish` is tried once from zero before any pass.  If it does
+    not certify, `_lasso_gram_cd` runs one pass at a time and stops once a
+    pass moves no entry by tol or more; after each pass whose signs differ
+    from those the last chain started from, the chain is tried again from
+    the descent iterate.  Only the descent finishes by tol.  Returns
+    (theta, passes, converged, certified); passes is 0 when the chain from
+    zero certified.
     """
     theta = np.zeros_like(r)
-    last = tried = None
-    for passes in range(1, max_passes + 1):
-        if _lasso_gram_cd(G, r, kappa, theta) < tol:
+    tried = None
+    for passes in range(max_passes + 1):
+        # pass 0 only tries the chain from zero
+        if passes and _lasso_gram_cd(G, r, kappa, theta) < tol:
             return theta, passes, True, False
         signs = np.sign(theta)
-        if (last is not None and np.array_equal(signs, last)
-                and not np.array_equal(signs, tried)):
+        if not np.array_equal(signs, tried):
             tried = signs
-            exact = _support_solve(G, r, kappa, theta, signs)
+            exact = _newton_finish(G, r, kappa, theta)
             if exact is not None:
                 return exact, passes, True, True
-        last = signs
     return theta, max_passes, False, False
 
 
-def _support_solve(G: np.ndarray, r: np.ndarray, kappa: float,
-                   theta: np.ndarray, signs: np.ndarray) -> np.ndarray | None:
-    """Lasso optimum on the given supports and signs, or None.
+def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
+                   theta: np.ndarray) -> np.ndarray | None:
+    """Primal-dual active-set (semismooth Newton) chain from theta, or None.
 
-    Column c solves G_SS theta_S = r_S - kappa * signs_S on its support S.
-    Each column's support rows are gathered into a k x k system, k the
-    largest support, padded with the identity and a zero right-hand side,
-    so one batched solve covers every column; entries off the support keep
-    theta's (signed) zeros.  The result is accepted only on a KKT
-    certificate: finite, the same signs, every zero entry with
-    |r - G theta| <= kappa (1 + 1e-9), and the support equalities met
-    within 1e-9 kappa.  A singular support fails like any violation.
+    Each of at most `_NEWTON_STEPS` steps takes u = diag(G) theta +
+    (r - G theta), sets signs to sign(u) where |u| > kappa and to 0
+    elsewhere, and solves G_SS theta_S = r_S - kappa * signs_S on each
+    column's support S.  The support rows are gathered into a k x k
+    system, k the largest support, padded with the identity and a zero
+    right-hand side, so one batched solve covers every column; entries
+    off the support take the signed zero of the step's start.  A solve is
+    returned only on a KKT certificate: finite, the same signs, every zero
+    entry with |r - G theta| <= kappa (1 + 1e-9), and the support
+    equalities met within 1e-9 kappa; otherwise it starts the next step.
+    The chain gives up on a sign pattern it has already seen, a singular
+    or non-finite solve, or at the step cap.  theta is not modified.
     """
-    on = signs != 0.0
-    k = int(on.sum(axis=0).max())
-    rows = np.argsort(~on, axis=0, kind="stable")[:k].T       # p x k, support first
-    live = np.take_along_axis(on.T, rows, axis=1)
-    cols = np.broadcast_to(np.arange(r.shape[1])[:, None], rows.shape)
-    system = np.where(live[:, :, None] & live[:, None, :],
-                      G[rows[:, :, None], rows[:, None, :]], np.eye(k))
-    rhs = np.where(live, (r - kappa * signs)[rows, cols], 0.0)[:, :, None]
-    try:
-        solved = np.linalg.solve(system, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        return None
-    exact = theta.copy()
-    exact[rows[live], cols[live]] = solved[live]
-    grad = r - G @ exact
-    if (np.all(np.isfinite(exact)) and np.array_equal(np.sign(exact), signs)
-            and np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-9))
-            and np.all(np.abs(grad[on] - kappa * signs[on]) <= 1e-9 * kappa)):
-        return exact
+    diag = np.diag(G)[:, None]
+    cols = np.arange(r.shape[1])[:, None]
+    grad = r - G @ theta
+    seen: list[np.ndarray] = []
+    for _ in range(_NEWTON_STEPS):
+        u = diag * theta + grad
+        signs = np.where(np.abs(u) > kappa, np.sign(u), 0.0)
+        if any(np.array_equal(signs, s) for s in seen):
+            return None
+        seen.append(signs)
+        on = signs != 0.0
+        k = int(on.sum(axis=0).max())
+        rows = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
+        live = np.take_along_axis(on.T, rows, axis=1)
+        system = np.where(live[:, :, None] & live[:, None, :],
+                          G[rows[:, :, None], rows[:, None, :]], np.eye(k))
+        rhs = np.where(live, (r - kappa * signs)[rows, cols], 0.0)[:, :, None]
+        try:
+            solved = np.linalg.solve(system, rhs)[:, :, 0]
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(solved)):
+            return None
+        theta = np.copysign(0.0, theta)
+        theta[rows[live], np.broadcast_to(cols, rows.shape)[live]] = solved[live]
+        grad = r - G @ theta
+        if (np.array_equal(np.sign(theta), signs)
+                and np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-9))
+                and np.all(np.abs(grad[on] - kappa * signs[on]) <= 1e-9 * kappa)):
+            return theta
     return None
 
 

@@ -224,6 +224,7 @@ def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
                  str(tmp_path / "ok"), "--strict"]) == 0
     monkeypatch.setattr(stage2, "fit_segment",
                         functools.partial(stage2.fit_segment, max_passes=1))
+    monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
     plain, strict = tmp_path / "plain", tmp_path / "strict"
     capsys.readouterr()
     assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
@@ -242,6 +243,7 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
     assert main(args) == 0
     monkeypatch.setattr(stage2, "fit_segment",
                         functools.partial(stage2.fit_segment, max_passes=1))
+    monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
     capsys.readouterr()
     assert main(args) == 3
     assert "did not converge" in capsys.readouterr().err
@@ -269,10 +271,15 @@ def test_cli_reports_uncertified_stage1(small_csv, tmp_path, monkeypatch, capsys
 def test_cli_evaluate_strict_trips_on_uncertified_stage1(tmp_path, monkeypatch,
                                                          capsys):
     _cap_active_set_rounds(monkeypatch)
+    args = ["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1"]
+    plain, strict = tmp_path / "plain", tmp_path / "strict"
     capsys.readouterr()
-    assert main(["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1",
-                 "--strict", "--out", str(tmp_path / "eval")]) == 3
-    assert "did not converge" in capsys.readouterr().err
+    assert main([*args, "--out", str(plain)]) == 0
+    assert "1 of 1 replicates: stage-1 solver did not converge" in capsys.readouterr().err
+    # --strict changes the exit code only
+    assert main([*args, "--strict", "--out", str(strict)]) == 3
+    assert "1 of 1 replicates: stage-1 solver did not converge" in capsys.readouterr().err
+    assert (strict / "summary.json").read_bytes() == (plain / "summary.json").read_bytes()
 
 
 def test_cli_detect_refuses_input_beyond_memory(small_csv, tmp_path, monkeypatch,
