@@ -164,6 +164,12 @@ def validate_model(model: SegmentedVarModel) -> ValidationReport:
     return ValidationReport(not issues, issues)
 
 
+def check_eta(eta: float) -> None:
+    """Raise ValueError unless the stage-2 level eta is finite and >= 0."""
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+
+
 def default_schedule(n, p: int, d: int, C: float, v: float = 0.5) -> TuningSchedule:
     """Rate-based penalty levels for sample size n, dimension p, lag d.
 
@@ -178,10 +184,10 @@ def default_schedule(n, p: int, d: int, C: float, v: float = 0.5) -> TuningSched
         raise ValueError(f"n={n} too small for d={d}")
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if v <= 0:
-        raise ValueError("v must be positive")
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"v must be finite and positive, got {v}")
     log_n = math.log(n)
     lam = 2.0 * C * math.sqrt((log_n + 2.0 * math.log(p) + math.log(d)) / n)
     log_p = max(math.log(p), 1.0)

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import TuningSchedule, default_schedule, effective_sample_size
+from .model import (TuningSchedule, check_eta, default_schedule,
+                    effective_sample_size)
 from .simulate import ScenarioPreset, make_scenario, simulate
 from .stage1 import (CandidateSet, ThetaEstimate, bcd_solve, build_stage1,
                      extract_candidates)
@@ -82,7 +83,8 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
     """Data-driven schedule: rate formulas times the average column variance.
 
     lambda_c (the constant C in lambda_n) and eta (the level eta_n) bypass
-    the variance scaling entirely when given.
+    the variance scaling entirely when given.  Raises ValueError unless
+    C and v are finite and positive and eta is finite and >= 0.
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
@@ -91,6 +93,7 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
     C = lambda_c if lambda_c is not None else LAMBDA_SCALE * s2
     base = default_schedule(n, p, d, C, v)
     eta_n = eta if eta is not None else ETA_SCALE * s2 * base.gamma_n
+    check_eta(eta_n)
     return replace(base, eta_n=float(eta_n),
                    omega_n=float(OMEGA_SCALE * s2 * base.omega_n))
 

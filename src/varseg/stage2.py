@@ -9,16 +9,24 @@ size), and a subset is scored by
 
     IC(subset) = sum_i sse_i + n * eta_n * sum_i ||theta_i||_1 + m * omega_n.
 
+The search is backward elimination.  Removing break t_i merges only the
+two segments around it, so each removal is scored from the current
+subset's per-segment losses in O(1): the loss of the merged range
+replaces those of its two halves.  A merged range is fitted once, from
+the length-weighted mean of its two halves' fits.
+
 Each penalized refit first tries a short primal-dual active-set chain
-from zero (`_newton_finish`, a semismooth Newton method: Hintermueller,
+from its start (`_newton_finish`, a semismooth Newton method: Hintermueller,
 Ito & Kunisch, SIAM J. Optim. 2002), whose steps are exact solves of the
 stationarity equations on the signs the iterate implies, kept only when
-one passes a KKT certificate.  If it does not certify, cyclic coordinate
-descent runs pass by pass (`_lasso_gram_cd`, a plain loop that visits
-every row) and the chain is retried from the descent iterate whenever its
-signs change; the descent alone finishes by its step tolerance.
-`tests/cd_oracle.py` keeps the reference loop the kernel is checked
-against.
+one passes a KKT certificate.  A certified fit depends only on its last
+system, so it does not depend on where its chain started.  If the chain
+does not certify, cyclic coordinate descent runs pass by pass
+(`_lasso_gram_cd`, a plain loop that visits every row) and the chain is
+retried from the descent iterate whenever its signs change; the descent
+alone finishes by its step tolerance.  `tests/cd_oracle.py` keeps the
+reference loop the kernel is checked against, and `tests/search_oracle.py`
+the subset searches the backward loop is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TuningSchedule, effective_sample_size
+from .model import TuningSchedule, check_eta, effective_sample_size
 from .stage1 import CandidateSet, _lagged_design
 
 logger = logging.getLogger(__name__)
@@ -46,7 +54,7 @@ class SegmentFit:
     l1_norm: float
     converged: bool            # False when the CD fit stopped at max_passes
     passes: int                # CD passes run (0 for the unpenalized solve,
-                               # and for a fit certified from zero)
+                               # and for a fit certified from its start)
     certified: bool            # True when a Newton chain ended the fit
 
 
@@ -63,24 +71,30 @@ class ScreeningResult:
 
 
 def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
-                *, tol: float = SEGMENT_TOL,
+                *, start: np.ndarray | None = None, tol: float = SEGMENT_TOL,
                 max_passes: int = SEGMENT_MAX_PASSES) -> SegmentFit:
     """Penalized least-squares fit of one segment's coefficient block.
 
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
     to a plain least-squares solve.  For eta > 0, `_segment_lasso` tries a
-    Newton chain from zero, then runs coordinate-descent passes with chain
-    retries; the fit is converged when a chain is certified or, the only
-    way to finish by tol, when a pass moves no entry by tol or more.
+    Newton chain from `start` (a finite p x (p*d) block in `theta`'s
+    orientation; zero when None), then runs coordinate-descent passes from
+    there with chain retries; the fit is converged when a chain is
+    certified or, the only way to finish by tol, when a pass moves no entry
+    by tol or more.  A certified fit is the same, to the byte, from any
+    start.
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
     lo, hi = int(rng[0]), int(rng[1])
     if hi - lo <= d:
         raise ValueError(f"segment [{lo}, {hi}) too short for d={d}")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    check_eta(eta)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (p, p * d) or not np.all(np.isfinite(start)):
+            raise ValueError(f"start must be a finite {p} x {p * d} array")
     lag, tgt = _lagged_design(X, d)
     # response time t occupies design row t - 1 - d
     j_lo, j_hi = max(lo - 1 - d, 0), hi - 1 - d
@@ -92,7 +106,8 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     else:
         n = effective_sample_size(T, d)
         theta_t, passes, converged, certified = _segment_lasso(
-            A.T @ A, A.T @ B, n * eta / 2.0, tol, max_passes)
+            A.T @ A, A.T @ B, n * eta / 2.0, tol, max_passes,
+            None if start is None else start.T)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
@@ -127,21 +142,22 @@ def _lasso_gram_cd(G: np.ndarray, r: np.ndarray, kappa: float,
 
 
 def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, tol: float,
-                   max_passes: int) -> tuple[np.ndarray, int, bool, bool]:
-    """Newton chain from zero, then coordinate descent with retries.
+                   max_passes: int, start: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, int, bool, bool]:
+    """Newton chain from start (zero when None), then descent with retries.
 
-    `_newton_finish` is tried once from zero before any pass.  If it does
-    not certify, `_lasso_gram_cd` runs one pass at a time and stops once a
-    pass moves no entry by tol or more; after each pass whose signs differ
-    from those the last chain started from, the chain is tried again from
-    the descent iterate.  Only the descent finishes by tol.  Returns
-    (theta, passes, converged, certified); passes is 0 when the chain from
-    zero certified.
+    `_newton_finish` is tried once from start before any pass.  If it does
+    not certify, `_lasso_gram_cd` runs one pass at a time from start and
+    stops once a pass moves no entry by tol or more; after each pass whose
+    signs differ from those the last chain started from, the chain is tried
+    again from the descent iterate.  Only the descent finishes by tol.
+    Returns (theta, passes, converged, certified); passes is 0 when the
+    chain from start certified.  start is not modified.
     """
-    theta = np.zeros_like(r)
+    theta = np.zeros_like(r) if start is None else np.array(start, dtype=float)
     tried = None
     for passes in range(max_passes + 1):
-        # pass 0 only tries the chain from zero
+        # pass 0 only tries the chain from start
         if passes and _lasso_gram_cd(G, r, kappa, theta) < tol:
             return theta, passes, True, False
         signs = np.sign(theta)
@@ -163,7 +179,8 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
     column's support S.  The support rows are gathered into a k x k
     system, k the largest support, padded with the identity and a zero
     right-hand side, so one batched solve covers every column; entries
-    off the support take the signed zero of the step's start.  A solve is
+    off the support are +0.0, so a returned solve depends only on (G, r,
+    kappa) and its signs, not on where the chain started.  A solve is
     returned only on a KKT certificate: finite, the same signs, every zero
     entry with |r - G theta| <= kappa (1 + 1e-9), and the support
     equalities met within 1e-9 kappa; otherwise it starts the next step.
@@ -193,7 +210,7 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
             return None
         if not np.all(np.isfinite(solved)):
             return None
-        theta = np.copysign(0.0, theta)
+        theta = np.zeros_like(theta)
         theta[rows[live], np.broadcast_to(cols, rows.shape)[live]] = solved[live]
         grad = r - G @ theta
         if (np.array_equal(np.sign(theta), signs)
@@ -270,9 +287,20 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     """Pick the IC-minimizing subset of the (pre-merged) candidate set.
 
     Backward elimination starts from the full set and greedily removes the
-    candidate whose removal decreases the IC most, then compares against
-    the empty set.  Ties break toward fewer breaks, then lexicographically
-    smaller break vectors.
+    candidate whose removal decreases the IC most, stops when no removal
+    does, and scores the empty set if no level reached it.  The current
+    subset's segment fits and losses (sse + n * eta * l1_norm) are kept in
+    lists, so removing break i is scored in O(1) as
+
+        IC = L - loss_i - loss_{i+1} + loss(merged_i) + (m - 1) * omega,
+
+    merged_i the fit of the range the removal leaves, fitted once from the
+    length-weighted mean of the two fits it replaces.  L is re-summed after
+    each accepted removal, which stops rounding drift.  The trace holds the
+    full set, then each level's options in index order.  Ties break toward
+    the smaller (IC, subset) within a level, and toward fewer breaks, then
+    the lexicographically smaller break vector, over the trace; the
+    reported L_n and ic are those `evaluate_subset` gives the chosen subset.
     """
     X = np.asarray(data, dtype=float)
     T = X.shape[0]
@@ -281,36 +309,56 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     # widens segments, so every subset searched below is valid too
     _check_subset(cands, d, T)
     eta, n = schedule.eta_n, effective_sample_size(T, d)
-    omega = schedule.omega_n
+    omega, charge = schedule.omega_n, n * eta
     cache: dict = {}
-    trace: list[tuple[tuple[int, ...], float]] = []
 
-    def score(subset: tuple[int, ...]) -> float:
-        L, _ = _subset_loss(X, subset, d, eta, n, cache)
-        val = _ic(L, len(subset), omega)
-        trace.append((subset, val))
-        return val
+    def loss(fit: SegmentFit) -> float:
+        return fit.sse + charge * fit.l1_norm
+
+    def merged_fit(i: int) -> SegmentFit:
+        lo, mid, hi = bounds[i:i + 3]
+        fit = cache.get((lo, hi))
+        if fit is None:
+            start = ((mid - lo) * fits[i].theta
+                     + (hi - mid) * fits[i + 1].theta) / (hi - lo)
+            fit = cache[lo, hi] = fit_segment(X, (lo, hi), d, eta, start=start)
+        return fit
 
     current = tuple(cands)
-    current_val = score(current)
+    bounds = [d + 1, *current, T + 1]
+    fits = list(_subset_loss(X, current, d, eta, n, cache)[1])
+    losses = [loss(f) for f in fits]
+    L = sum(losses)
+    current_val = _ic(L, len(current), omega)
+    trace = [(current, current_val)]
     while current:
+        m = len(current)
         options = []
-        for i in range(len(current)):
+        for i in range(m):
+            val = _ic(L - losses[i] - losses[i + 1] + loss(merged_fit(i)), m - 1, omega)
             subset = current[:i] + current[i + 1:]
-            options.append((score(subset), subset))
-        cand_val, cand_subset = min(options)
+            trace.append((subset, val))
+            options.append((val, subset, i))
+        cand_val, cand_subset, i = min(options)
         if cand_val >= current_val:
             break
+        merged = merged_fit(i)
+        del bounds[i + 1]
+        fits[i:i + 2] = [merged]
+        losses[i:i + 2] = [loss(merged)]
+        L = sum(losses)
         current, current_val = cand_subset, cand_val
-    if not any(s == () for s, _ in trace):
-        score(())
+    if trace[-1][0]:
+        # only a level with one break scores the empty set
+        trace.append(((), _ic(_subset_loss(X, (), d, eta, n, cache)[0], 0, omega)))
 
-    best_val, _, best = min((val, (len(s), s), s) for s, val in trace)
-    L_best, fits = _subset_loss(X, best, d, eta, n, cache)
+    _, _, best = min((val, (len(s), s), s) for s, val in trace)
+    L_best, best_fits = _subset_loss(X, best, d, eta, n, cache)
+    ic = _ic(L_best, len(best), omega)
     logger.debug("select_breaks: %d candidates -> %d breaks, ic=%.6g",
-                 len(cands), len(best), best_val)
+                 len(cands), len(best), ic)
     return ScreeningResult(chosen_breaks=best, m_final=len(best),
-                           L_n=float(L_best), ic=float(best_val),
-                           fits=fits, search_trace=tuple(trace),
+                           L_n=float(L_best), ic=float(ic),
+                           fits=best_fits, search_trace=tuple(trace),
                            eta_n=float(schedule.eta_n),
                            omega_n=float(schedule.omega_n))

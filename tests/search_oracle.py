@@ -1,9 +1,14 @@
-"""Reference subset search for stage 2: score every subset of the merged set.
+"""Reference subset searches for stage 2, scoring subsets from scratch.
 
-Brute force over all 2^m subsets through the public `evaluate_subset`,
-with the tie rule `select_breaks` uses: the smallest IC, then fewer
-breaks, then the lexicographically smaller break vector.  Exponential in
-m, so only for small candidate sets, which is all an oracle needs.
+`best_subset` is brute force over all 2^m subsets through the public
+`evaluate_subset`, with the tie rule `select_breaks` uses: the smallest
+IC, then fewer breaks, then the lexicographically smaller break vector.
+Exponential in m, so only for small candidate sets, which is all an oracle
+needs.
+
+`backward_trace` is backward elimination as `select_breaks` runs it, but
+with every scored subset summed afresh by `evaluate_subset` (O(m) per
+subset) instead of updated from its two neighbour fits.
 """
 
 from __future__ import annotations
@@ -23,3 +28,29 @@ def best_subset(data, merged, d, schedule):
             scored.append((L + size * schedule.omega_n, (size, subset), subset))
     ic, _, best = min(scored)
     return best, ic
+
+
+def backward_trace(data, merged, d, schedule):
+    """(subset, IC) pairs of backward elimination, in `select_breaks` order."""
+    cache: dict = {}
+    trace = []
+
+    def score(subset):
+        L, _ = evaluate_subset(data, subset, d, schedule, cache)
+        trace.append((subset, L + len(subset) * schedule.omega_n))
+        return trace[-1][1]
+
+    current = tuple(merged)
+    current_val = score(current)
+    while current:
+        options = []
+        for i in range(len(current)):
+            subset = current[:i] + current[i + 1:]
+            options.append((score(subset), subset))
+        cand_val, cand_subset = min(options)
+        if cand_val >= current_val:
+            break
+        current, current_val = cand_subset, cand_val
+    if not any(s == () for s, _ in trace):
+        score(())
+    return trace

@@ -315,6 +315,38 @@ def test_cli_evaluate_override_fixes_shared_schedule(tmp_path, monkeypatch,
         assert seen[0].v_exponent == v
 
 
+BAD_OVERRIDES = (["--eta", "-1"], ["--eta", "nan"], ["--eta", "inf"],
+                 ["--omega-v", "nan"], ["--omega-v", "inf"],
+                 ["--lambda-c", "nan"], ["--lambda-c", "inf"])
+
+
+@pytest.mark.parametrize("flags", BAD_OVERRIDES, ids=" ".join)
+def test_cli_detect_rejects_bad_penalty_overrides(small_csv, tmp_path, capsys,
+                                                  flags):
+    out = tmp_path / "o"
+    assert main(["detect", "--input", str(small_csv), *flags,
+                 "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def test_cli_evaluate_rejects_bad_penalty_override(tmp_path, monkeypatch, capsys):
+    # refused before any replicate runs
+    monkeypatch.setattr(cli, "run_replicates", None)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--scenario", "1", "--replicates", "2", "--jobs", "1",
+                 "--eta", "-1", "--out", str(out)]) == 1
+    assert "error: eta must be finite and >= 0" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_detect_accepts_zero_eta(small_csv, tmp_path):
+    out = tmp_path / "o"
+    assert main(["detect", "--input", str(small_csv), "--eta", "0",
+                 "--out", str(out)]) == 0
+    assert load_json(out / "result.json")["schedule"]["eta_n"] == 0.0
+
+
 def test_cli_plot_rerenders_bundle(small_csv, tmp_path):
     det, rep = tmp_path / "det", tmp_path / "rep"
     assert main(["detect", "--input", str(small_csv), "--out", str(det)]) == 0

@@ -56,10 +56,12 @@ def test_schedule_rejects_bad_args():
         default_schedule(2, 1, 1, C=1.0)
     with pytest.raises(ValueError):
         default_schedule(100, 0, 1, C=1.0)
-    with pytest.raises(ValueError):
-        default_schedule(100, 1, 1, C=0.0)
-    with pytest.raises(ValueError):
-        default_schedule(100, 1, 1, C=1.0, v=0.0)
+    # NaN passes a plain `<= 0` test, so finiteness is checked on its own
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="C must be finite"):
+            default_schedule(100, 1, 1, C=bad)
+        with pytest.raises(ValueError, match="v must be finite"):
+            default_schedule(100, 1, 1, C=1.0, v=bad)
 
 
 def test_companion_radius_d1_scaled_identity():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cd_oracle import lasso_gram_cd_reference, soft_threshold
 from conftest import piecewise_series
-from search_oracle import best_subset
+from search_oracle import backward_trace, best_subset
 from varseg import stage2
 from varseg.model import TuningSchedule, effective_sample_size
 from varseg.pipeline import detect
@@ -158,7 +158,7 @@ def test_fit_segment_is_scale_equivariant(c):
 
 
 SOLVE_REGIMES = ("dense", "rank_deficient", "flat_column", "all_zero",
-                 "one_column", "ill_conditioned")
+                 "one_column", "ill_conditioned", "warm_start")
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from(SOLVE_REGIMES))
@@ -180,8 +180,18 @@ def test_segment_lasso_is_optimal(seed, regime):
     r_max = float(np.max(np.abs(r)))
     kappa = (1.5 if regime == "all_zero" else float(rng.uniform(0.05, 0.8))) * r_max
 
-    theta, passes, converged, certified = _segment_lasso(G, r, kappa, 1e-13, 100_000)
+    start = None
+    if regime == "warm_start":
+        # any finite start, on any scale, sparse or not
+        start = (rng.standard_normal((q, p)) * 10.0 ** rng.uniform(-3, 3)
+                 * (rng.random((q, p)) < rng.uniform(0.2, 1.0)))
+        given_start = start.copy()
+
+    theta, passes, converged, certified = _segment_lasso(G, r, kappa, 1e-13, 100_000,
+                                                         start)
     assert converged
+    if start is not None:
+        np.testing.assert_array_equal(start, given_start)
     grad = r - G @ theta
     on = theta != 0.0
     assert np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-8))
@@ -236,12 +246,50 @@ def test_newton_finish_keeps_the_search(monkeypatch):
     assert sum(f.passes for f in fast.fits) < sum(f.passes for f in plain.fits)
 
 
+def test_certified_fits_do_not_depend_on_the_start(monkeypatch):
+    # scenario 1, seed 0: every merged range the search scores, refitted
+    # from its neighbour-mean start and from zero
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, 0))
+    calls = []
+    fit = stage2.fit_segment
+
+    def spy(X, rng, d, eta, **kw):
+        calls.append((rng, eta, kw.get("start")))
+        return fit(X, rng, d, eta, **kw)
+
+    monkeypatch.setattr(stage2, "fit_segment", spy)
+    detect(data, preset.d)
+    monkeypatch.undo()
+    warm = [c for c in calls if c[2] is not None]
+    both = 0
+    for rng, eta, start in warm:
+        a = fit_segment(data, rng, preset.d, eta, start=start)
+        b = fit_segment(data, rng, preset.d, eta)
+        if a.certified and b.certified:
+            both += 1
+            assert a.theta.tobytes() == b.theta.tobytes(), rng
+    assert len(warm) > 30 and both > len(warm) // 2
+
+
+def test_fit_segment_rejects_a_bad_start():
+    rng = np.random.default_rng(2)
+    data = piecewise_series(rng, T=60, p=2, d=2, break_at=1_000)
+    ok = np.zeros((2, 4))
+    fit_segment(data, (3, 61), d=2, eta=1e-3, start=ok)
+    for bad in (ok.T, ok[:, :2], np.zeros(8), np.full((2, 4), np.nan),
+                np.where(np.eye(2, 4) > 0, np.inf, 0.0)):
+        with pytest.raises(ValueError, match="start"):
+            fit_segment(data, (3, 61), d=2, eta=1e-3, start=bad)
+
+
 def test_fit_segment_errors():
     data = np.zeros((10, 1))
     with pytest.raises(ValueError, match="too short"):
         fit_segment(data, (5, 6), d=1, eta=0.0)
-    with pytest.raises(ValueError, match="eta"):
-        fit_segment(data, (2, 9), d=1, eta=-1.0)
+    for eta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            fit_segment(data, (2, 9), d=1, eta=eta)
 
 
 # ---------------------------------------------------------- evaluate_subset
@@ -333,6 +381,24 @@ def test_premerge_spacing_property(times):
 
 
 # ------------------------------------------------------------ select_breaks
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_breaks_matches_the_reference_search(seed):
+    # scenario 1: the neighbour-fit updates search the same subsets as
+    # summing every subset afresh, and report the chosen one's own sums
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, seed))
+    det = detect(data, preset.d)
+    got, schedule = det.stage2, det.schedule
+    merged = premerge_candidates(det.stage1, preset.d, data.shape[0])
+    want = backward_trace(data, merged, preset.d, schedule)
+    assert [s for s, _ in got.search_trace] == [s for s, _ in want]
+    for (_, a), (_, b) in zip(got.search_trace, want):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    L, _ = evaluate_subset(data, got.chosen_breaks, preset.d, schedule)
+    assert got.L_n == L
+    assert got.ic == L + got.m_final * schedule.omega_n
+
 
 def test_select_no_candidates():
     data = ar_series(40)
