@@ -105,7 +105,14 @@ def _physical_memory() -> int:
 
 def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
            zero_tol: float | None = None) -> DetectionResult:
-    """Run both stages on one series and return everything they produced."""
+    """Run both stages on one series and return everything they produced.
+
+    zero_tol is `extract_candidates`' threshold: None for its default, or
+    a value >= 0 (inf keeps no candidate); NaN or a negative value raises
+    ValueError before any work.
+    """
+    if zero_tol is not None and not zero_tol >= 0:
+        raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
         raise PipelineError("input", "data must be a T x p matrix")
@@ -215,6 +222,8 @@ def run_replicates(preset: ScenarioPreset, R: int, base_seed: int,
     """
     if R < 1:
         raise ValueError("R must be >= 1")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [base_seed + r for r in range(R)]
     args = [(preset, s, schedule) for s in seeds]
     workers = min(jobs, R)

@@ -12,9 +12,11 @@ J. Numer. Anal. 2000), run one response column at a time from zero: it
 admits the worst threshold violator, solves the stationarity equalities on
 the working support, and drops an entry whose sign would cross.  A sparse
 optimum is reached in a few admits and ends with a KKT certificate; a
-solve that ends without one is reported as converged=False.  The method
-works on suffix Gram matrices G_i = sum_{l>=i} Y_{l-1} Y_{l-1}'; only the
-objective reads raw design rows.
+solve that ends without one is reported as converged=False.  Residuals,
+coupled gradients (admit pricing, certificate, KKT audit) and the objective
+come from one raw-row kernel, `_column_residual`; the suffix Gram matrices
+G_i = sum_{l>=i} Y_{l-1} Y_{l-1}' and cross-products form only the pivot
+systems on the working support.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ class Stage1Problem:
     suffix_gram[b] and suffix_cross[b] (0-based block b, i = b + 1) hold
     sums over all equations the block participates in.  Block 0 spans the
     same equations as block 1 because the first response with a full lag
-    vector is y_{d+1}, hence suffix_gram[0] == suffix_gram[1].  perfbench
-    reads both arrays by these names to report their size.
+    vector is y_{d+1}, hence suffix_gram[0] == suffix_gram[1].  They form
+    the pivot systems only; residuals, gradients and the objective come
+    from lagged_rows and targets.  perfbench reads both suffix arrays by
+    these names to report their size.
     """
 
     n: int
@@ -120,38 +124,44 @@ def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
                          lagged_rows=lag, targets=tgt)
 
 
+def _column_residual(problem: Stage1Problem, c: int, bb: np.ndarray,
+                     aa: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residual and coupled gradient of response column c, from raw rows.
+
+    Entry k adds xv[k] to lag coefficient aa[k] from block bb[k]'s first
+    equation on, row max(bb[k] - 1, 0), so the residual is
+    targets[:, c] - U @ xv with U[:, k] = lagged_rows[:, aa[k]] zeroed
+    above that row.  Block b's gradient sums x_l r_l over its rows
+    l >= max(b - 1, 0): a reverse cumulative sum, with block 0 repeating
+    block 1's row.  Returns r (n-1,) and the gradient (n, p*d); the work
+    is O(n * (p*d + k)) for k entries.
+    """
+    lag = problem.lagged_rows
+    rows = np.arange(lag.shape[0])[:, None]
+    r = problem.targets[:, c] - (lag[:, aa] * (rows >= bb - 1)) @ xv
+    grad = np.empty((problem.n, lag.shape[1]))
+    np.multiply(lag, r[:, None], out=grad[1:])
+    np.cumsum(grad[:0:-1], axis=0, out=grad[:0:-1])   # in place, from the end
+    grad[0] = grad[1]
+    return r, grad
+
+
+def _column_fits(problem: Stage1Problem, th: np.ndarray):
+    """`_column_residual` of every response column of th (n, p*d, p)."""
+    for c in range(problem.p):
+        bb, aa = np.nonzero(th[:, :, c])
+        yield _column_residual(problem, c, bb, aa, th[bb, aa, c])
+
+
 def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
     """Coupled gradients c_b - sum_b' G_max(b,b') theta_b' for every block."""
-    n, p = problem.n, problem.p
-    q = p * problem.d
-    G, Cc = problem.suffix_gram, problem.suffix_cross
-    active = np.any(th, axis=(1, 2))
-    # grad[b] first holds sum_{b' > b} G_b' theta_b', what later blocks add
-    grad = np.empty((n, q, p))
-    grad[n - 1] = 0.0
-    for b in range(n - 2, -1, -1):
-        np.copyto(grad[b], grad[b + 1])
-        if active[b + 1]:
-            grad[b] += G[b + 1] @ th[b + 1]
-    prefix = np.zeros((q, p))
-    for b in range(n):
-        prefix = prefix + th[b]
-        grad[b] = Cc[b] - G[b] @ prefix - grad[b]
+    grad = np.empty(th.shape)
+    for c, (_, col_grad) in enumerate(_column_fits(problem, th)):
+        grad[:, :, c] = col_grad
     return grad
 
 
 _REFINE_SUPPORT_CAP = 2500
-
-
-def _column_gradient(G: np.ndarray, Ccol: np.ndarray, bb: np.ndarray,
-                     aa: np.ndarray, xv: np.ndarray) -> np.ndarray:
-    """Full gradient of one response column given a sparse coefficient set."""
-    out = Ccol.copy()
-    if bb.size:
-        rows = np.arange(Ccol.shape[0])
-        idx = np.maximum(rows[:, None], bb[None, :])
-        out -= np.einsum('nkq,k->nq', G[idx, :, aa], xv)
-    return out
 
 
 def _active_set_refine(problem: Stage1Problem, th: np.ndarray, kappa: float,
@@ -215,97 +225,72 @@ def _active_set_refine(problem: Stage1Problem, th: np.ndarray, kappa: float,
                     if not float(np.max(np.abs(A @ z - rhs))) <= tol_eq:
                         break       # still unmet (or not finite): hopeless
                     unmet = False
-                if unmet:
-                    # equalities unattainable on this face: the objective
-                    # descends along the null space until a sign crossing
-                    w = -(null_rows.T @ (null_rows @ (A @ xv - rhs)))
-                    if float(np.max(np.abs(w))) <= tol_eq:
+                flips = z * ss <= 0.0
+                if unmet or flips.any():
+                    if unmet:
+                        # equalities unattainable on this face: the
+                        # objective descends along the null space until a
+                        # sign crossing
+                        step = -(null_rows.T @ (null_rows @ (A @ xv - rhs)))
+                        if float(np.max(np.abs(step))) <= tol_eq:
+                            break
+                        with np.errstate(divide='ignore', invalid='ignore'):
+                            tcand = np.where(xv * step < 0.0, -xv / step, np.inf)
+                        tcand = np.where((xv == 0.0) & (step * ss < 0.0), 0.0, tcand)
+                    else:
+                        # walk toward z only as far as the first sign crossing
+                        step = z - xv
+                        with np.errstate(divide='ignore', invalid='ignore'):
+                            tcand = np.where(flips & (xv != 0.0), xv / (xv - z), np.inf)
+                        tcand = np.where(flips & (xv == 0.0), 0.0, tcand)
+                    t_star = float(np.min(tcand))
+                    if not np.isfinite(t_star):
                         break
-                    with np.errstate(divide='ignore', invalid='ignore'):
-                        tcand = np.where(xv * w < 0.0, -xv / w, np.inf)
-                    tcand = np.where((xv == 0.0) & (w * ss < 0.0), 0.0, tcand)
-                    step = w
-                else:
-                    flips = z * ss <= 0.0
-                    if not flips.any():
-                        xv = z
-                        grad_col = _column_gradient(G, Cc[:, :, c], bb, aa, xv)
-                        over = np.abs(grad_col) > kappa + tol_eq
-                        over[bb, aa] = False
-                        over &= ~banned
-                        if not over.any():
-                            col_ok = True
-                            break
-                        flat = np.where(over, np.abs(grad_col), -np.inf)
-                        b_, a_ = np.unravel_index(np.argmax(flat), flat.shape)
-                        bb = np.append(bb, b_)
-                        aa = np.append(aa, a_)
-                        ss = np.append(ss, np.sign(grad_col[b_, a_]))
-                        xv = np.append(xv, 0.0)
-                        if bb.size > _REFINE_SUPPORT_CAP:
-                            break
-                        continue
-                    d = z - xv
-                    with np.errstate(divide='ignore', invalid='ignore'):
-                        tcand = np.where(flips & (xv != 0.0), xv / (xv - z), np.inf)
-                    tcand = np.where(flips & (xv == 0.0), 0.0, tcand)
-                    step = d
-                t_star = float(np.min(tcand))
-                if not np.isfinite(t_star):
-                    break
-                hit = tcand <= t_star
-                if t_star <= 0.0:
-                    banned[bb[hit], aa[hit]] = True   # degenerate pivot
-                else:
-                    xv = xv + t_star * step
-                keep = ~hit
-                bb, aa, xv, ss = bb[keep], aa[keep], xv[keep], ss[keep]
-            else:
-                grad_col = _column_gradient(G, Cc[:, :, c], bb, aa, xv)
-                over = (np.abs(grad_col) > kappa + tol_eq) & ~banned
-                if not over.any():
-                    col_ok = True
-                    break
-                flat = np.where(over, np.abs(grad_col), -np.inf)
-                b_, a_ = np.unravel_index(np.argmax(flat), flat.shape)
-                bb = np.array([b_])
-                aa = np.array([a_])
-                ss = np.array([np.sign(grad_col[b_, a_])])
-                xv = np.array([0.0])
+                    hit = tcand <= t_star
+                    if t_star <= 0.0:
+                        banned[bb[hit], aa[hit]] = True   # degenerate pivot
+                    else:
+                        xv = xv + t_star * step
+                    keep = ~hit
+                    bb, aa, xv, ss = bb[keep], aa[keep], xv[keep], ss[keep]
+                    continue
+                xv = z
+            # full step, or an empty support: certify the column or admit
+            # its worst threshold violator
+            grad_col = _column_residual(problem, c, bb, aa, xv)[1]
+            over = np.abs(grad_col) > kappa + tol_eq
+            over[bb, aa] = False
+            over &= ~banned
+            if not over.any():
+                col_ok = True
+                break
+            flat = np.where(over, np.abs(grad_col), -np.inf)
+            b_, a_ = np.unravel_index(np.argmax(flat), flat.shape)
+            bb = np.append(bb, b_)
+            aa = np.append(aa, a_)
+            ss = np.append(ss, np.sign(grad_col[b_, a_]))
+            xv = np.append(xv, 0.0)
+            if bb.size > _REFINE_SUPPORT_CAP:
+                break
         new_th[bb, aa, c] = xv
         all_ok = all_ok and col_ok
 
     if not all_ok:
         return new_th, False
-    # columns were handled independently; confirm the joint conditions once
-    grad = _gradients(problem, new_th)
-    nzm = new_th != 0.0
-    if nzm.any() and float(np.max(np.abs(grad[nzm] - kappa * np.sign(new_th[nzm])))) > tol_eq:
-        return new_th, False
-    if (~nzm).any() and float(np.max(np.abs(grad[~nzm]))) > kappa + tol_eq:
-        return new_th, False
+    # confirm each column once on its final support: the equalities through
+    # the gradient rather than the pivot system, and every zero in the band
+    for c, (_, grad) in enumerate(_column_fits(problem, new_th)):
+        col = new_th[:, :, c]
+        on = col != 0.0
+        if (np.any(np.abs(grad[on] - kappa * np.sign(col[on])) > tol_eq)
+                or np.any(np.abs(grad[~on]) > kappa + tol_eq)):
+            return new_th, False
     return new_th, True
 
 
-def _objective(problem: Stage1Problem, th: np.ndarray, lam: float,
-               active: np.ndarray) -> float:
-    """(1/n) residual sum of squares plus l1 charge, via raw rows."""
-    lag, tgt = problem.lagged_rows, problem.targets
-    m = lag.shape[0]
-    cum = th[0] + th[1]          # equation 1 already includes blocks 1 and 2
-    sse = 0.0
-    prev = 0
-    for b in range(2, problem.n):
-        if not active[b]:
-            continue
-        j = b - 1
-        if j > prev:
-            resid = tgt[prev:j] - lag[prev:j] @ cum
-            sse += float(np.sum(resid * resid))
-            prev = j
-        cum = cum + th[b]
-    resid = tgt[prev:m] - lag[prev:m] @ cum
-    sse += float(np.sum(resid * resid))
+def _objective(problem: Stage1Problem, th: np.ndarray, lam: float) -> float:
+    """(1/n) residual sum of squares plus l1 charge."""
+    sse = sum(float(r @ r) for r, _ in _column_fits(problem, th))
     return sse / problem.n + lam * float(np.sum(np.abs(th)))
 
 
@@ -331,9 +316,9 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
         raise ValueError("lambda must be positive")
     n, p, d = problem.n, problem.p, problem.d
     th = np.zeros((n, p * d, p))
-    start = _objective(problem, th, lam, np.zeros(n, dtype=bool))
+    start = _objective(problem, th, lam)
     cand, converged = _active_set_refine(problem, th, n * lam / 2.0)
-    obj = _objective(problem, cand, lam, np.any(cand, axis=(1, 2)))
+    obj = _objective(problem, cand, lam)
     if converged or obj < start:
         th = cand
     else:

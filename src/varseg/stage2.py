@@ -52,7 +52,7 @@ class SegmentFit:
     theta: np.ndarray          # p x (p*d)
     sse: float
     l1_norm: float
-    converged: bool            # False when the CD fit stopped at max_passes
+    converged: bool            # False when the CD fit stopped at SEGMENT_MAX_PASSES
     passes: int                # CD passes run (0 for the unpenalized solve,
                                # and for a fit certified from its start)
     certified: bool            # True when a Newton chain ended the fit
@@ -71,8 +71,7 @@ class ScreeningResult:
 
 
 def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
-                *, start: np.ndarray | None = None, tol: float = SEGMENT_TOL,
-                max_passes: int = SEGMENT_MAX_PASSES) -> SegmentFit:
+                *, start: np.ndarray | None = None) -> SegmentFit:
     """Penalized least-squares fit of one segment's coefficient block.
 
     Lag vectors come from the raw series, so the first responses of a
@@ -81,9 +80,9 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     Newton chain from `start` (a finite p x (p*d) block in `theta`'s
     orientation; zero when None), then runs coordinate-descent passes from
     there with chain retries; the fit is converged when a chain is
-    certified or, the only way to finish by tol, when a pass moves no entry
-    by tol or more.  A certified fit is the same, to the byte, from any
-    start.
+    certified or, the only way to finish by `SEGMENT_TOL`, when a pass
+    moves no entry by that much.  A certified fit is the same, to the byte,
+    from any start.  Only the segment's rows of the lagged design are built.
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
@@ -95,10 +94,10 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
         start = np.asarray(start, dtype=float)
         if start.shape != (p, p * d) or not np.all(np.isfinite(start)):
             raise ValueError(f"start must be a finite {p} x {p * d} array")
-    lag, tgt = _lagged_design(X, d)
-    # response time t occupies design row t - 1 - d
+    # response time t occupies design row t - 1 - d, whose lags reach back
+    # d rows of the series
     j_lo, j_hi = max(lo - 1 - d, 0), hi - 1 - d
-    A, B = lag[j_lo:j_hi], tgt[j_lo:j_hi]
+    A, B = _lagged_design(X[j_lo:j_hi + d], d)
 
     converged, passes, certified = True, 0, False
     if eta == 0.0:
@@ -106,8 +105,7 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     else:
         n = effective_sample_size(T, d)
         theta_t, passes, converged, certified = _segment_lasso(
-            A.T @ A, A.T @ B, n * eta / 2.0, tol, max_passes,
-            None if start is None else start.T)
+            A.T @ A, A.T @ B, n * eta / 2.0, None if start is None else start.T)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
@@ -141,19 +139,22 @@ def _lasso_gram_cd(G: np.ndarray, r: np.ndarray, kappa: float,
     return float(delta)
 
 
-def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, tol: float,
-                   max_passes: int, start: np.ndarray | None = None
+def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float,
+                   start: np.ndarray | None = None
                    ) -> tuple[np.ndarray, int, bool, bool]:
     """Newton chain from start (zero when None), then descent with retries.
 
     `_newton_finish` is tried once from start before any pass.  If it does
     not certify, `_lasso_gram_cd` runs one pass at a time from start and
-    stops once a pass moves no entry by tol or more; after each pass whose
-    signs differ from those the last chain started from, the chain is tried
-    again from the descent iterate.  Only the descent finishes by tol.
+    stops once a pass moves no entry by `SEGMENT_TOL` or more, or after
+    `SEGMENT_MAX_PASSES` passes (both read at call time); after each pass
+    whose signs differ from those the last chain started from, the chain is
+    tried again from the descent iterate.  Only the descent finishes by
+    `SEGMENT_TOL`.
     Returns (theta, passes, converged, certified); passes is 0 when the
     chain from start certified.  start is not modified.
     """
+    tol, max_passes = SEGMENT_TOL, SEGMENT_MAX_PASSES
     theta = np.zeros_like(r) if start is None else np.array(start, dtype=float)
     tried = None
     for passes in range(max_passes + 1):

@@ -222,8 +222,7 @@ def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
                                                    monkeypatch, capsys):
     assert main(["detect", "--input", str(small_csv), "--out",
                  str(tmp_path / "ok"), "--strict"]) == 0
-    monkeypatch.setattr(stage2, "fit_segment",
-                        functools.partial(stage2.fit_segment, max_passes=1))
+    monkeypatch.setattr(stage2, "SEGMENT_MAX_PASSES", 1)
     monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
     plain, strict = tmp_path / "plain", tmp_path / "strict"
     capsys.readouterr()
@@ -241,8 +240,7 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
     args = ["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1",
             "--strict", "--out", str(tmp_path / "eval")]
     assert main(args) == 0
-    monkeypatch.setattr(stage2, "fit_segment",
-                        functools.partial(stage2.fit_segment, max_passes=1))
+    monkeypatch.setattr(stage2, "SEGMENT_MAX_PASSES", 1)
     monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
     capsys.readouterr()
     assert main(args) == 3
@@ -337,6 +335,35 @@ def test_cli_evaluate_rejects_bad_penalty_override(tmp_path, monkeypatch, capsys
     assert main(["evaluate", "--scenario", "1", "--replicates", "2", "--jobs", "1",
                  "--eta", "-1", "--out", str(out)]) == 1
     assert "error: eta must be finite and >= 0" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_cli_detect_rejects_bad_zero_tol(small_csv, tmp_path, monkeypatch, capsys,
+                                         value):
+    # -1 would make every block a candidate, NaN none; both are refused
+    # before stage 1 runs
+    monkeypatch.setattr(pipeline, "build_stage1", None)
+    out = tmp_path / "o"
+    assert main(["detect", "--input", str(small_csv), "--zero-tol", value,
+                 "--out", str(out)]) == 1
+    assert "error: zero_tol must be >= 0" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
+def test_cli_detect_accepts_infinite_zero_tol(small_csv, tmp_path, capsys):
+    assert main(["detect", "--input", str(small_csv), "--zero-tol", "inf",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert load_json(tmp_path / "o" / "result.json")["stage1"]["candidates"] == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_cli_evaluate_rejects_bad_jobs(tmp_path, monkeypatch, capsys, jobs):
+    monkeypatch.setattr(pipeline, "_run_one", None)   # must not be reached
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--scenario", "1", "--replicates", "2", "--jobs", jobs,
+                 "--out", str(out)]) == 1
+    assert "error: jobs must be >= 1" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
 
 

@@ -65,6 +65,10 @@ def test_detect_rejects_bad_input():
         detect(np.zeros((6, 2)), 2)
     except PipelineError as exc:
         assert exc.stage == "input"
+    # -1 would make every block a candidate and NaN none
+    for zero_tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="zero_tol must be >= 0"):
+            detect(np.zeros((40, 2)), 1, zero_tol=zero_tol)
 
 
 def test_detect_labels_stage2_failures():
@@ -209,6 +213,9 @@ def test_run_replicates_single():
 def test_run_replicates_rejects_bad_count():
     with pytest.raises(ValueError):
         run_replicates(SMALL_PRESET, R=0, base_seed=0)
+    for jobs in (0, -5):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_replicates(SMALL_PRESET, R=2, base_seed=0, jobs=jobs)
 
 
 def test_white_noise_detections_mostly_empty(white_noise_batch):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import assert_monotone, piecewise_series, solver_instance
+from gradient_oracle import suffix_gradients
 from prox_oracle import prox_gradient_solve, prox_objective
 from varseg import stage1
 from varseg.pipeline import schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import (CandidateSet, ThetaEstimate, _active_set_refine,
-                           _objective, bcd_solve, build_stage1,
+                           _gradients, _objective, bcd_solve, build_stage1,
                            extract_candidates, kkt_check)
 
 finite_series = arrays(
@@ -86,6 +87,31 @@ def test_build_gram_symmetric_psd(data):
     for G in problem.suffix_gram:
         np.testing.assert_allclose(G, G.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(G)) > -1e-8 * max(1.0, np.max(np.abs(G)))
+
+
+# ----------------------------------------------- raw-row residual kernel
+
+@given(arrays(float, st.tuples(st.integers(4, 40), st.integers(1, 3)),
+              elements=st.floats(-5, 5, allow_nan=False, width=32)),
+       st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_gradients_match_suffix_recursion(data, d, dense, seed):
+    problem = build_stage1(data, d)
+    n, q, p = problem.n, problem.p * d, problem.p
+    rng = np.random.default_rng(seed)
+    th = rng.standard_normal((n, q, p)) * 10.0 ** rng.uniform(-2, 1)
+    if not dense:
+        th *= rng.random((n, q, p)) < 0.15
+    # blocks 0 and 1 share every row: one entry nonzero in both
+    a, c = rng.integers(q), rng.integers(p)
+    th[0, a, c], th[1, a, c] = 0.7, -0.4
+    want = suffix_gradients(problem, th)
+    got = _gradients(problem, th)
+    col_l1 = float(np.max(np.sum(np.abs(th), axis=(0, 1))))
+    scale = (float(np.max(np.abs(problem.suffix_cross)))
+             + float(np.max(np.abs(problem.suffix_gram))) * col_l1)
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * max(scale, np.finfo(float).tiny)
+    assert _objective(problem, th, 0.1) == pytest.approx(
+        prox_objective(problem, th, 0.1), rel=1e-10)
 
 
 # --------------------------------------------------------------- bcd_solve
@@ -165,9 +191,9 @@ def test_refine_from_rank_deficient_support(second):
     lam = 0.02
     th = np.zeros((problem.n, 2, 2))
     th[0, 0, 0], th[1, 0, 0] = 0.3, second
-    start = _objective(problem, th, lam, np.any(th, axis=(1, 2)))
+    start = _objective(problem, th, lam)
     cand, certified = _active_set_refine(problem, th, problem.n * lam / 2.0)
-    end = _objective(problem, cand, lam, np.any(cand, axis=(1, 2)))
+    end = _objective(problem, cand, lam)
     assert end <= start
     assert certified
     oracle = prox_gradient_solve(problem, lam)
@@ -183,7 +209,7 @@ def test_refine_certifies_ill_conditioned_instance_from_zero():
     zeros = np.zeros((problem.n, problem.p * problem.d, problem.p))
     cand, certified = _active_set_refine(problem, zeros, problem.n * lam / 2.0)
     assert certified
-    got = _objective(problem, cand, lam, np.any(cand, axis=(1, 2)))
+    got = _objective(problem, cand, lam)
     oracle = prox_gradient_solve(problem, lam)
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
 

@@ -135,7 +135,8 @@ def test_fit_segment_reports_convergence(monkeypatch):
     assert fit_segment(data, (2, 61), d=1, eta=0.0).converged
     # with the Newton chain off, one descent pass cannot finish the fit
     monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
-    assert not fit_segment(data, (2, 61), d=1, eta=1e-4, max_passes=1).converged
+    monkeypatch.setattr(stage2, "SEGMENT_MAX_PASSES", 1)
+    assert not fit_segment(data, (2, 61), d=1, eta=1e-4).converged
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e3])
@@ -187,8 +188,10 @@ def test_segment_lasso_is_optimal(seed, regime):
                  * (rng.random((q, p)) < rng.uniform(0.2, 1.0)))
         given_start = start.copy()
 
-    theta, passes, converged, certified = _segment_lasso(G, r, kappa, 1e-13, 100_000,
-                                                         start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage2, "SEGMENT_TOL", 1e-13)
+        mp.setattr(stage2, "SEGMENT_MAX_PASSES", 100_000)
+        theta, passes, converged, certified = _segment_lasso(G, r, kappa, start)
     assert converged
     if start is not None:
         np.testing.assert_array_equal(start, given_start)
@@ -223,7 +226,8 @@ def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
     assert _newton_finish(G, r, 0.5, np.zeros((2, 1))) is None
     assert len(solves) == 3 <= _NEWTON_STEPS
     monkeypatch.undo()
-    theta, passes, converged, _ = _segment_lasso(G, r, 0.5, 1e-13, 10_000)
+    monkeypatch.setattr(stage2, "SEGMENT_TOL", 1e-13)
+    theta, passes, converged, _ = _segment_lasso(G, r, 0.5)
     assert converged and passes >= 1
     np.testing.assert_allclose(theta, [[0.5], [0.0]], rtol=0.0, atol=1e-12)
 
