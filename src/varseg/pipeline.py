@@ -119,14 +119,16 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
     T = X.shape[0]
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
-    # stage 1's suffix Grams and cross-products: n * q * (q + p) floats
+    # stage 1's suffix Grams and cross-products, n * q * (q + p) floats,
+    # and the solve's theta, n * q * p more
     p, q = X.shape[1], X.shape[1] * d
-    need = 8 * (T - d + 1) * q * (q + p)
+    need = 8 * (T - d + 1) * q * (q + 2 * p)
     have = _physical_memory()
     if need > have:
         raise PipelineError("input", f"stage 1 needs {need / 2**30:.1f} GiB of "
-                                     f"suffix arrays, more than the "
-                                     f"{have / 2**30:.1f} GiB of physical memory")
+                                     f"suffix arrays and coefficients, more "
+                                     f"than the {have / 2**30:.1f} GiB of "
+                                     f"physical memory")
     if schedule is None:
         schedule = schedule_for_data(X, d)
 

@@ -71,6 +71,20 @@ def test_detect_rejects_bad_input():
             detect(np.zeros((40, 2)), 1, zero_tol=zero_tol)
 
 
+def test_detect_memory_guard_counts_theta(monkeypatch):
+    # the suffix arrays alone take 8*n*q*(q+p) bytes and the solve's theta
+    # 8*n*q*p more, so memory that only fits the suffix arrays is refused
+    rng = np.random.default_rng(2)
+    data = piecewise_series(rng, T=40, p=2, d=2, break_at=20)
+    n, p, q = 39, 2, 4
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * n * q * (q + p))
+    with pytest.raises(PipelineError, match="physical memory") as exc:
+        detect(data, 2)
+    assert exc.value.stage == "input"
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * n * q * (q + 2 * p))
+    assert detect(data, 2).stage1_estimate.converged
+
+
 def test_detect_labels_stage2_failures():
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=1, d=1, break_at=20)
@@ -98,10 +112,13 @@ def test_detect_breaks_invariant_to_scale_and_column_order(scenario, seed):
     # estimator treats the p columns symmetrically
     preset = scenario_preset(scenario)
     data = simulate(make_scenario(preset, seed))
-    breaks = detect(data, preset.d).final_breaks
+    base = detect(data, preset.d)
+    breaks = base.final_breaks
     assert breaks
-    for c in (1e-3, 1e3):
-        assert detect(c * data, preset.d).final_breaks == breaks
+    for c in (2.0 ** -3, 10.0, 1e-3, 1e3):
+        scaled = detect(c * data, preset.d)
+        assert scaled.stage1.indices == base.stage1.indices
+        assert scaled.final_breaks == breaks
     perm = np.random.default_rng(seed).permutation(data.shape[1])
     assert detect(data[:, perm], preset.d).final_breaks == breaks
 

@@ -1,6 +1,7 @@
 """First-stage estimator: design assembly, solver, KKT audit, extraction."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from varseg import stage1
 from varseg.pipeline import schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import (CandidateSet, ThetaEstimate, _active_set_refine,
-                           _gradients, _objective, bcd_solve, build_stage1,
+                           _gradients, bcd_solve, build_stage1,
                            extract_candidates, kkt_check)
 
 finite_series = arrays(
@@ -110,11 +111,17 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
     scale = (float(np.max(np.abs(problem.suffix_cross)))
              + float(np.max(np.abs(problem.suffix_gram))) * col_l1)
     assert float(np.max(np.abs(got - want))) <= 1e-12 * max(scale, np.finfo(float).tiny)
-    assert _objective(problem, th, 0.1) == pytest.approx(
-        prox_objective(problem, th, 0.1), rel=1e-10)
 
 
 # --------------------------------------------------------------- bcd_solve
+
+def _assert_trace_matches_oracle(problem, est, lam):
+    """objective_trace is the oracle's objective at zero and at the estimate."""
+    n, q, p = problem.n, problem.p * problem.d, problem.p
+    zero = prox_objective(problem, np.zeros((n, q, p)), lam)
+    end = prox_objective(problem, np.swapaxes(est.theta, 1, 2), lam)
+    assert est.objective_trace == pytest.approx((zero, end), rel=1e-12)
+
 
 def test_solve_overwhelming_penalty():
     rng = np.random.default_rng(0)
@@ -176,28 +183,35 @@ def test_solve_random_instances_certify(seed, lam):
     problem = build_stage1(data, 1)
     est = bcd_solve(problem, lam)
     assert_monotone(est.objective_trace)
+    _assert_trace_matches_oracle(problem, est, lam)
     assert est.converged
     assert kkt_check(problem, est, lam, tol_kkt=1e-4).passed
 
 
-@pytest.mark.parametrize("second", [0.2, -0.2])
-def test_refine_from_rank_deficient_support(second):
-    # blocks 1 and 2 span the same equations, so one coordinate nonzero in
-    # both gives a singular working Gram; with opposite signs the
-    # stationarity equalities on that support cannot be met at all
-    rng = np.random.default_rng(0)
-    problem = build_stage1(piecewise_series(rng, T=30, p=2, d=1, break_at=15), 1)
+def _refine_from_zero(problem, lam):
+    """(certified, objective) of the active-set solve from zero.
+
+    The objective is the solve's own residual sum of squares and l1 charge,
+    checked against the oracle's objective at the returned theta.
+    """
+    th, certified, sse, l1 = _active_set_refine(problem, problem.n * lam / 2.0)
+    got = sse / problem.n + lam * l1
+    assert got == pytest.approx(prox_objective(problem, th, lam), rel=1e-12)
+    return certified, got
+
+
+def test_refine_descends_unattainable_face_from_zero():
+    # oracle-gate instance 24 (n=35, p=1, d=2, lambda=0.01): blocks 1 and 2
+    # span the same equations, so one coordinate in both gives a singular
+    # working Gram; twice on the way from zero the equalities on such a
+    # support cannot be met, and the solve descends along the null space
+    problem, lam = solver_instance(24)
+    assert (problem.n, problem.p, problem.d, lam) == (35, 1, 2, 0.01)
     assert problem.suffix_gram[0].tobytes() == problem.suffix_gram[1].tobytes()
-    lam = 0.02
-    th = np.zeros((problem.n, 2, 2))
-    th[0, 0, 0], th[1, 0, 0] = 0.3, second
-    start = _objective(problem, th, lam)
-    cand, certified = _active_set_refine(problem, th, problem.n * lam / 2.0)
-    end = _objective(problem, cand, lam)
-    assert end <= start
+    certified, got = _refine_from_zero(problem, lam)
     assert certified
     oracle = prox_gradient_solve(problem, lam)
-    assert abs(end - oracle) <= 1e-6 * max(1.0, abs(oracle))
+    assert abs(got - oracle) <= 1e-6 * max(1.0, abs(oracle))
 
 
 def test_refine_certifies_ill_conditioned_instance_from_zero():
@@ -206,10 +220,8 @@ def test_refine_certifies_ill_conditioned_instance_from_zero():
     # misses the equalities; the refinement step recovers them
     problem, lam = solver_instance(48)
     assert (problem.n, problem.p, problem.d, lam) == (41, 3, 2, 0.01)
-    zeros = np.zeros((problem.n, problem.p * problem.d, problem.p))
-    cand, certified = _active_set_refine(problem, zeros, problem.n * lam / 2.0)
+    certified, got = _refine_from_zero(problem, lam)
     assert certified
-    got = _objective(problem, cand, lam)
     oracle = prox_gradient_solve(problem, lam)
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
@@ -229,6 +241,8 @@ def _round_capped_solve(monkeypatch, rounds):
     assert not est.converged
     assert est.iterations == 0 and len(est.objective_trace) == 2
     assert_monotone(est.objective_trace)
+    # the residual of a column that left at the round cap is its own
+    _assert_trace_matches_oracle(problem, est, lam)
     assert not kkt_check(problem, est, lam).passed
     return est
 
@@ -259,6 +273,44 @@ def test_cold_solve_certifies_without_sweeps():
     assert len(est.objective_trace) == 2
     assert_monotone(est.objective_trace)
     assert kkt_check(problem, est, lam).passed
+
+
+def test_solve_prices_each_support_once_in_one_theta():
+    # every kernel call prices a (column, support) the solve has not priced
+    # before: the objective and the certificate reuse the last pricing
+    # round, with supports compared as sets since pivots reorder entries
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, 0))
+    lam = schedule_for_data(data, preset.d).lambda_n
+    problem = build_stage1(data, preset.d)
+    kernel = stage1._column_residual
+    priced = []
+
+    def spy(problem, c, bb, aa, xv):
+        priced.append((c, frozenset(zip(bb.tolist(), aa.tolist(), xv.tolist()))))
+        return kernel(problem, c, bb, aa, xv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage1, "_column_residual", spy)
+        assert bcd_solve(problem, lam).converged
+    assert len(priced) == len(set(priced))
+
+    # the returned theta is the only dense array the solve keeps, and
+    # reading off candidates makes no dense copy of it
+    theta_bytes = 8 * problem.n * problem.p * problem.d * problem.p
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        est = bcd_solve(problem, lam)
+        solve_peak = tracemalloc.get_traced_memory()[1] - base
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        extract_candidates(est, None, preset.d)
+        extract_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 1.5 * theta_bytes
+    assert extract_peak <= 0.5 * theta_bytes
 
 
 # --------------------------------------------------------------- kkt_check
