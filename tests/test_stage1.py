@@ -200,6 +200,26 @@ def _refine_from_zero(problem, lam):
     return certified, got
 
 
+@pytest.mark.parametrize("second", [0.2, -0.2])
+def test_refine_from_rank_deficient_support(second):
+    # blocks 1 and 2 span the same equations, so one coordinate nonzero in
+    # both gives a singular working Gram; with opposite signs the
+    # stationarity equalities on that support cannot be met at all.  The
+    # solve from zero must end below such a point, certified, at the oracle
+    rng = np.random.default_rng(0)
+    problem = build_stage1(piecewise_series(rng, T=30, p=2, d=1, break_at=15), 1)
+    assert problem.suffix_gram[0].tobytes() == problem.suffix_gram[1].tobytes()
+    lam = 0.02
+    th = np.zeros((problem.n, 2, 2))
+    th[0, 0, 0], th[1, 0, 0] = 0.3, second
+    start = prox_objective(problem, th, lam)
+    certified, end = _refine_from_zero(problem, lam)
+    assert end <= start
+    assert certified
+    oracle = prox_gradient_solve(problem, lam)
+    assert abs(end - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+
 def test_refine_descends_unattainable_face_from_zero():
     # oracle-gate instance 24 (n=35, p=1, d=2, lambda=0.01): blocks 1 and 2
     # span the same equations, so one coordinate in both gives a singular
