@@ -116,13 +116,15 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
         raise PipelineError("input", "data must be a T x p matrix")
+    if not np.all(np.isfinite(X)):
+        raise PipelineError("input", "data contains non-finite values")
     T = X.shape[0]
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
-    # stage 1's suffix Grams and cross-products, n * q * (q + p) floats,
-    # and the solve's theta, n * q * p more
+    # one block per equation: stage 1's suffix Grams and cross-products,
+    # (T - d) * q * (q + p) floats, and the solve's theta, (T - d) * q * p more
     p, q = X.shape[1], X.shape[1] * d
-    need = 8 * (T - d + 1) * q * (q + 2 * p)
+    need = 8 * (T - d) * q * (q + 2 * p)
     have = _physical_memory()
     if need > have:
         raise PipelineError("input", f"stage 1 needs {need / 2**30:.1f} GiB of "

@@ -1,11 +1,14 @@
-"""First-stage estimator: every time point gets its own coefficient increment.
+"""First-stage estimator: every equation gets its own coefficient increment.
 
-The regression stacks one equation per usable response row and one p x (p*d)
-coefficient block theta_i per time index i = 1..n, n = T - d + 1.  Block 1 is
-the base coefficient; block i >= 2 is the increment that first affects the
-response at time t = i + d - 1, so nonzero increments mark candidate breaks.
+The regression stacks one equation per usable response row, T - d of them,
+and one p x (p*d) coefficient block per equation.  Block 0 is the base
+coefficient; block b >= 1 is the increment that first affects equation b
+(0-based), the response at time t = b + d + 1, so nonzero increments mark
+candidate breaks.  The paper's n = T - d + 1 blocks put two over the first
+equation, one variable twice; they are one block here.  n stays the
+sample size:
 
-Objective: (1/n) ||Y - Z Theta||_F^2 + lambda * sum_i ||theta_i||_1.
+Objective: (1/n) ||Y - Z Theta||_F^2 + lambda * sum_b ||theta_b||_1.
 
 The solve is a primal active-set method (Osborne, Presnell & Turlach, IMA
 J. Numer. Anal. 2000), run one response column at a time from zero: it
@@ -17,8 +20,8 @@ coupled gradients come from one raw-row kernel, `_column_residual`.  The
 pricing round that finds no violator also certifies the column and gives
 its residual for the objective, so each support is priced once; the KKT
 audit `kkt_check` runs the kernel afresh.  The suffix Gram matrices
-G_i = sum_{l>=i} Y_{l-1} Y_{l-1}' and cross-products form only the pivot
-systems on the working support.
+G_b = sum_{l>=b} x_l x_l' over lag rows x_l, and the cross-products, form
+only the pivot systems on the working support.
 """
 
 from __future__ import annotations
@@ -32,27 +35,27 @@ import numpy as np
 class Stage1Problem:
     """Precomputed sufficient statistics for the stage-1 solve.
 
-    suffix_gram[b] and suffix_cross[b] (0-based block b, i = b + 1) hold
-    sums over all equations the block participates in.  Block 0 spans the
-    same equations as block 1 because the first response with a full lag
-    vector is y_{d+1}, hence suffix_gram[0] == suffix_gram[1].  They form
-    the pivot systems only; residuals, gradients and the objective come
-    from lagged_rows and targets.  perfbench reads both suffix arrays by
-    these names to report their size.
+    n = T - d + 1 is the sample size in the objective and the threshold
+    n*lambda/2; there are n - 1 equations and one coefficient block per
+    equation.  suffix_gram[b] and suffix_cross[b] (0-based block b) hold
+    sums over equations b..n-2, the ones block b affects, so block 0, the
+    base, spans all of them.  They form the pivot systems only; residuals,
+    gradients and the objective come from lagged_rows and targets.
+    perfbench reads both suffix arrays by these names to report their size.
     """
 
     n: int
     p: int
     d: int
-    suffix_gram: np.ndarray    # (n, p*d, p*d)
-    suffix_cross: np.ndarray   # (n, p*d, p)
-    lagged_rows: np.ndarray    # (n-1, p*d), row j belongs to equation j+1
+    suffix_gram: np.ndarray    # (n-1, p*d, p*d)
+    suffix_cross: np.ndarray   # (n-1, p*d, p)
+    lagged_rows: np.ndarray    # (n-1, p*d), row b is equation b
     targets: np.ndarray        # (n-1, p)
 
 
 @dataclass(frozen=True, eq=False)
 class ThetaEstimate:
-    theta: np.ndarray          # (n, p, p*d), block i = theta[i-1]
+    theta: np.ndarray          # (n-1, p, p*d), base then one increment per equation
     lambda_used: float
     iterations: int
     converged: bool
@@ -61,7 +64,14 @@ class ThetaEstimate:
 
 @dataclass(frozen=True)
 class KktReport:
-    active_residuals: dict[int, float]   # 1-based block index -> residual
+    """Stationarity audit of a stage-1 estimate at threshold n*lambda/2.
+
+    active_residuals maps the 1-based index of each block with a nonzero
+    entry, counted over theta's first axis (1 is the base, b + 1 the
+    increment at time t = b + d + 1), to its worst equality residual.
+    """
+
+    active_residuals: dict[int, float]
     inactive_max: float
     threshold: float
     passed: bool
@@ -71,7 +81,7 @@ class KktReport:
 class CandidateSet:
     """Stage-1 output: candidate break times and implied segment coefficients.
 
-    indices are on the original time axis (block i maps to t = i + d - 1);
+    indices are on the original time axis (block b >= 1 maps to t = b + d + 1);
     strengths[k] is the max-norm of the increment behind indices[k].
     """
 
@@ -95,8 +105,8 @@ def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
     """Assemble suffix Grams and cross-products for the stage-1 solve.
 
     The suffix sums are accumulated in place in the two returned arrays,
-    so peak memory is one copy of them: n * (p*d) * (p*d + p) floats, plus
-    the lagged design.
+    so peak memory is one copy of them: (T-d) * (p*d) * (p*d + p) floats,
+    plus the lagged design.
     """
     X = np.ascontiguousarray(np.asarray(data, dtype=float))
     if X.ndim != 2:
@@ -111,17 +121,15 @@ def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
 
     lag, tgt = _lagged_design(X, d)
     n, q = T - d + 1, p * d
-    sg = np.empty((n, q, q))
-    sc = np.empty((n, q, p))
-    # block b >= 1 starts at equation b (row b - 1); sum the outer products
-    # from the last equation back, then block 0 copies block 1
-    np.multiply(lag[:, :, None], lag[:, None, :], out=sg[1:])
-    np.multiply(lag[:, :, None], tgt[:, None, :], out=sc[1:])
-    for b in range(n - 2, 0, -1):
+    sg = np.empty((n - 1, q, q))
+    sc = np.empty((n - 1, q, p))
+    # block b starts at equation b: sum the outer products from the last
+    # equation back
+    np.multiply(lag[:, :, None], lag[:, None, :], out=sg)
+    np.multiply(lag[:, :, None], tgt[:, None, :], out=sc)
+    for b in reversed(range(n - 2)):
         sg[b] += sg[b + 1]
         sc[b] += sc[b + 1]
-    sg[0] = sg[1]
-    sc[0] = sc[1]
     return Stage1Problem(n=n, p=p, d=d, suffix_gram=sg, suffix_cross=sc,
                          lagged_rows=lag, targets=tgt)
 
@@ -130,21 +138,18 @@ def _column_residual(problem: Stage1Problem, c: int, bb: np.ndarray,
                      aa: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual and coupled gradient of response column c, from raw rows.
 
-    Entry k adds xv[k] to lag coefficient aa[k] from block bb[k]'s first
-    equation on, row max(bb[k] - 1, 0), so the residual is
-    targets[:, c] - U @ xv with U[:, k] = lagged_rows[:, aa[k]] zeroed
-    above that row.  Block b's gradient sums x_l r_l over its rows
-    l >= max(b - 1, 0): a reverse cumulative sum, with block 0 repeating
-    block 1's row.  Returns r (n-1,) and the gradient (n, p*d); the work
-    is O(n * (p*d + k)) for k entries.
+    Entry k adds xv[k] to lag coefficient aa[k] from equation bb[k] on, so
+    the residual is targets[:, c] - U @ xv with U[:, k] =
+    lagged_rows[:, aa[k]] zeroed above row bb[k].  Block b's gradient sums
+    x_l r_l over its rows l >= b: a reverse cumulative sum.  Returns r
+    (n-1,) and the gradient (n-1, p*d); the work is O(n * (p*d + k)) for
+    k entries.
     """
     lag = problem.lagged_rows
     rows = np.arange(lag.shape[0])[:, None]
-    r = problem.targets[:, c] - (lag[:, aa] * (rows >= bb - 1)) @ xv
-    grad = np.empty((problem.n, lag.shape[1]))
-    np.multiply(lag, r[:, None], out=grad[1:])
-    np.cumsum(grad[:0:-1], axis=0, out=grad[:0:-1])   # in place, from the end
-    grad[0] = grad[1]
+    r = problem.targets[:, c] - (lag[:, aa] * (rows >= bb)) @ xv
+    grad = np.multiply(lag, r[:, None])
+    np.cumsum(grad[::-1], axis=0, out=grad[::-1])   # in place, from the end
     return r, grad
 
 
@@ -157,12 +162,12 @@ def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
     return grad
 
 
+_MAX_ROUNDS = 150
 _REFINE_SUPPORT_CAP = 2500
 
 
-def _active_set_refine(problem: Stage1Problem, kappa: float, max_rounds: int = 150
-                       ) -> tuple[np.ndarray, bool, float, float]:
-    """Active-set solve from zero toward the exact minimizer, column by column.
+def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
+    """Stage-1 solve: the active-set method from zero, column by column.
 
     Response columns never couple, so each runs the classic primal scheme:
     solve the stationarity equalities on the working support (linear
@@ -174,31 +179,49 @@ def _active_set_refine(problem: Stage1Problem, kappa: float, max_rounds: int = 1
     until an entry hits zero, which restores attainability.  The working
     Gram is symmetric PSD, so one symmetric eigendecomposition per pivot
     gives the rank test, the pseudo-inverse solve and the null space
-    (singular supports are common: blocks 1 and 2 share one Gram).
+    (a support turns singular as its entries approach the equation count:
+    30 of 34, 33 of 35 and 40 of 40 on the oracle gate's instances).
 
     A column is certified by the pricing round that finds no violator,
     from that round's gradient: the equalities met on the support and
     every other entry, banned ones included, inside the threshold band.
     That round's residual gives the column's sum of squares; a column that
-    leaves by another exit (failed pivot, round cap, support cap) runs the
-    kernel once more for it.  Returns (theta, certified, sse, l1) with
-    theta (n, p*d, p); an uncertified theta is still a valid point the
-    caller may adopt whenever it lowers the objective.
+    leaves by another exit runs the kernel once more for it.  Those exits
+    leave the solve uncertified: a numerical breakdown on one pivot, a
+    support past `_REFINE_SUPPORT_CAP`, or `_MAX_ROUNDS` rounds (read at
+    call time); the busiest column measured, on scenario 3 at T=10000,
+    used 44 rounds.  The candidate is adopted when it is certified or when
+    its objective is below zero's, and zero is returned otherwise.
+    converged is the certificate, so an uncertified solve reports
+    converged=False (and `--strict` exits 3).
+
+    perfbench times this function by its name and reads the estimate's
+    fields, as result.json does, so both keep their names: iterations is
+    always 0, and objective_trace holds two entries, the objective at zero
+    (the targets' sum of squares over n) and at the returned theta (the
+    solve's own residual sum of squares over n plus the l1 charge), so
+    neither takes another pass over the rows.
     """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
     n, p, q = problem.n, problem.p, problem.p * problem.d
     G, Cc = problem.suffix_gram, problem.suffix_cross
+    kappa = n * lam / 2.0
     tol_eq = 1e-6 * kappa
     eps = np.finfo(float).eps
+    # contiguous columns, as the kernel's residuals are: a strided dot sums
+    # in another order, and a zero candidate must not beat zero by an ulp
+    start = sum(float(t @ t) for t in np.ascontiguousarray(problem.targets.T)) / n
 
-    th = np.zeros((n, q, p))
-    all_ok = True
+    th = np.zeros((n - 1, q, p))
+    converged = True
     sse = l1 = 0.0
     for c in range(p):
         bb = aa = np.empty(0, dtype=np.intp)
         xv = ss = np.empty(0)
-        banned = np.zeros((n, q), dtype=bool)
+        banned = np.zeros((n - 1, q), dtype=bool)
         r = None
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             if bb.size:
                 A = G[np.maximum(bb[:, None], bb[None, :]), aa[:, None], aa[None, :]]
                 rhs = Cc[bb, aa, c] - kappa * ss
@@ -264,7 +287,7 @@ def _active_set_refine(problem: Stage1Problem, kappa: float, max_rounds: int = 1
             if not over.any():
                 # no admit left: certified if the equalities hold and no
                 # banned entry sits outside the band either
-                all_ok = all_ok and not outside.any() and not np.any(
+                converged = converged and not outside.any() and not np.any(
                     np.abs(grad_col[bb, aa] - kappa * ss) > tol_eq)
                 break
             r = None
@@ -278,41 +301,11 @@ def _active_set_refine(problem: Stage1Problem, kappa: float, max_rounds: int = 1
                 break
         if r is None:
             # left by another exit: this support was never priced
-            all_ok = False
+            converged = False
             r = _column_residual(problem, c, bb, aa, xv)[0]
         th[bb, aa, c] = xv
         sse += float(r @ r)
         l1 += float(np.sum(np.abs(xv)))
-    return th, all_ok, sse, l1
-
-
-def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
-    """Stage-1 solve: the active-set method from zero.
-
-    `_active_set_refine` grows each response column's support from zero;
-    a certified candidate is the exact minimizer.  The candidate is
-    adopted when it is certified or when its objective is below zero's,
-    and zero is returned otherwise.  converged is the certificate, so an
-    uncertified solve reports converged=False (and `--strict` exits 3).
-    Besides a numerical breakdown on one pivot or a support past
-    `_REFINE_SUPPORT_CAP`, the round cap of `_active_set_refine` (150 per
-    column) is what ends a solve uncertified; the busiest column measured,
-    on scenario 3 at T=10000, used 44 rounds.
-
-    perfbench times this function by its name and reads the estimate's
-    fields, as result.json does, so both keep their names: iterations is
-    always 0, and objective_trace holds two entries, the objective at zero
-    (the targets' sum of squares over n) and at the returned theta (the
-    solve's own residual sum of squares over n plus the l1 charge), so
-    neither takes another pass over the rows.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    n = problem.n
-    # contiguous columns, as the kernel's residuals are: a strided dot sums
-    # in another order, and a zero candidate must not beat zero by an ulp
-    start = sum(float(t @ t) for t in np.ascontiguousarray(problem.targets.T)) / n
-    th, converged, sse, l1 = _active_set_refine(problem, n * lam / 2.0)
     obj = sse / n + lam * l1
     if not (converged or obj < start):
         th.fill(0.0)
@@ -357,8 +350,9 @@ def extract_candidates(estimate: ThetaEstimate, zero_tol: float | None,
                        d: int) -> CandidateSet:
     """Read off candidate break times and cumulative segment coefficients.
 
-    Block i >= 2 with max-norm above zero_tol becomes candidate time
-    t = i + d - 1.  Default zero_tol is 1e-6 * max(1, ||theta_1||_inf).
+    Increment block b >= 1 (0-based) with max-norm above zero_tol becomes
+    candidate time t = b + d + 1, the time of equation b's response.
+    Default zero_tol is 1e-6 * max(1, ||theta_0||_inf), theta_0 the base.
     Segment k+1 coefficients are the cumulative sum of all increments up to
     and including the k-th candidate block.
     """
@@ -378,7 +372,7 @@ def extract_candidates(estimate: ThetaEstimate, zero_tol: float | None,
         segments.append(cum.copy())
         prev = b
     return CandidateSet(
-        indices=tuple(b + d for b in blocks),
+        indices=tuple(b + d + 1 for b in blocks),
         m_hat=len(blocks),
         segment_coefficients=tuple(segments),
         strengths=tuple(float(mags[b]) for b in blocks),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from prox_oracle import prox_objective
 from varseg.pipeline import data_scale, detect, run_replicates, schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import bcd_solve, build_stage1, extract_candidates
@@ -30,6 +31,15 @@ def assert_monotone(trace, slack=1e-10):
     drops = [b - a for a, b in zip(trace, trace[1:])]
     worst = max(drops, default=0.0)
     assert worst <= slack, f"objective rose by {worst:.3e}"
+
+
+def folded_objective(problem, th, lam):
+    """Oracle objective of th (one block per equation, solver orientation).
+
+    The oracle keeps the paper's layout, whose first two blocks multiply
+    the same rows; a zero second block carries th over to it unchanged.
+    """
+    return prox_objective(problem, np.insert(th, 1, 0.0, axis=0), lam)
 
 
 def piecewise_series(rng, T, p, d, break_at):

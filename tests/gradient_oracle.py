@@ -17,9 +17,9 @@ import numpy as np
 
 
 def suffix_gradients(problem, th: np.ndarray) -> np.ndarray:
-    """Coupled gradients (n, p*d, p) of th in the solver's orientation."""
-    n, q = problem.n, problem.p * problem.d
+    """Coupled gradients (one per suffix Gram, p*d, p) of th, solver orientation."""
     G, Cc = problem.suffix_gram, problem.suffix_cross
+    n, q = G.shape[0], problem.p * problem.d
     active = np.any(th, axis=(1, 2))
     # grad[b] first holds sum_{b' > b} G_b' theta_b', what later blocks add
     grad = np.empty((n, q, problem.p))

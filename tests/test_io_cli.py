@@ -1,6 +1,5 @@
 """Serialization round trips, preprocessing, SVG output, and the CLI."""
 
-import functools
 import importlib.util
 import json
 import math
@@ -249,8 +248,7 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
 
 def _cap_active_set_rounds(monkeypatch):
     """Leave stage 1 uncertified: one active-set round per column."""
-    monkeypatch.setattr(stage1, "_active_set_refine",
-                        functools.partial(stage1._active_set_refine, max_rounds=1))
+    monkeypatch.setattr(stage1, "_MAX_ROUNDS", 1)
 
 
 def test_cli_reports_uncertified_stage1(small_csv, tmp_path, monkeypatch, capsys):

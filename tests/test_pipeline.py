@@ -65,6 +65,15 @@ def test_detect_rejects_bad_input():
         detect(np.zeros((6, 2)), 2)
     except PipelineError as exc:
         assert exc.stage == "input"
+    # non-finite data is input too, refused before the default schedule
+    # reads it and before stage 1 runs under a given schedule
+    data = np.random.default_rng(4).standard_normal((40, 2))
+    schedule = schedule_for_data(data, 1)
+    for bad in (math.nan, math.inf):
+        data[7, 1] = bad
+        for given in (None, schedule):
+            with pytest.raises(PipelineError, match="^input: data contains non-finite"):
+                detect(data, 1, given)
     # -1 would make every block a candidate and NaN none
     for zero_tol in (-1.0, math.nan):
         with pytest.raises(ValueError, match="zero_tol must be >= 0"):
@@ -72,16 +81,17 @@ def test_detect_rejects_bad_input():
 
 
 def test_detect_memory_guard_counts_theta(monkeypatch):
-    # the suffix arrays alone take 8*n*q*(q+p) bytes and the solve's theta
-    # 8*n*q*p more, so memory that only fits the suffix arrays is refused
+    # one block per equation, m = T - d blocks: the suffix arrays alone take
+    # 8*m*q*(q+p) bytes and the solve's theta 8*m*q*p more, so memory that
+    # only fits the suffix arrays is refused
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=2, d=2, break_at=20)
-    n, p, q = 39, 2, 4
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * n * q * (q + p))
+    m, p, q = 38, 2, 4
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + p))
     with pytest.raises(PipelineError, match="physical memory") as exc:
         detect(data, 2)
     assert exc.value.stage == "input"
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * n * q * (q + 2 * p))
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + 2 * p))
     assert detect(data, 2).stage1_estimate.converged
 
 

@@ -1,6 +1,5 @@
 """First-stage estimator: design assembly, solver, KKT audit, extraction."""
 
-import functools
 import tracemalloc
 
 import numpy as np
@@ -9,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import assert_monotone, piecewise_series, solver_instance
+from conftest import (assert_monotone, folded_objective, piecewise_series,
+                      solver_instance)
 from gradient_oracle import suffix_gradients
 from prox_oracle import prox_gradient_solve, prox_objective
 from varseg import stage1
 from varseg.pipeline import schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
-from varseg.stage1 import (CandidateSet, ThetaEstimate, _active_set_refine,
-                           _gradients, bcd_solve, build_stage1,
-                           extract_candidates, kkt_check)
+from varseg.stage1 import (CandidateSet, ThetaEstimate, _gradients, bcd_solve,
+                           build_stage1, extract_candidates, kkt_check)
 
 finite_series = arrays(
     float, st.tuples(st.integers(4, 12), st.integers(1, 3)),
@@ -32,10 +31,10 @@ def test_build_three_point_series():
     assert problem.n == 3
     np.testing.assert_array_equal(problem.lagged_rows, [[1.0], [2.0]])
     np.testing.assert_array_equal(problem.targets, [[2.0], [3.0]])
-    # suffix sums: blocks 1 and 2 both see both equations, block 3 only
-    # the last, so G = (5, 5, 4) and c = (8, 8, 6)
-    np.testing.assert_array_equal(problem.suffix_gram[:, 0, 0], [5.0, 5.0, 4.0])
-    np.testing.assert_array_equal(problem.suffix_cross[:, 0, 0], [8.0, 8.0, 6.0])
+    # one block per equation: the base sees both equations, the increment
+    # only the last, so G = (5, 4) and c = (8, 6)
+    np.testing.assert_array_equal(problem.suffix_gram[:, 0, 0], [5.0, 4.0])
+    np.testing.assert_array_equal(problem.suffix_cross[:, 0, 0], [8.0, 6.0])
 
 
 def test_build_zero_series():
@@ -62,24 +61,23 @@ def test_build_telescoping(data):
             continue
         problem = build_stage1(data, d)
         G, rows = problem.suffix_gram, problem.lagged_rows
-        n = problem.n
-        # leading duplicate block, then rank-1 steps down to the tail;
+        m = rows.shape[0]
+        # one block per equation, rank-1 steps down to the tail;
         # differencing the suffix sums only holds up to their own rounding
-        np.testing.assert_array_equal(G[0], G[1])
-        for i in range(1, n - 1):
+        assert G.shape[0] == m == problem.n - 1
+        for i in range(m - 1):
             slack = 1e-12 * (1.0 + float(np.max(np.abs(G[i + 1]))))
             np.testing.assert_allclose(G[i] - G[i + 1],
-                                       np.outer(rows[i - 1], rows[i - 1]),
+                                       np.outer(rows[i], rows[i]),
                                        atol=slack)
-        np.testing.assert_array_equal(G[n - 1],
-                                      np.outer(rows[n - 2], rows[n - 2]))
-        # bit for bit the flipped cumulative sum of the outer products,
-        # with block 1 repeated in front
+        np.testing.assert_array_equal(G[m - 1],
+                                      np.outer(rows[m - 1], rows[m - 1]))
+        # bit for bit the flipped cumulative sum of the outer products
         lag, tgt = rows, problem.targets
         for got, outer in ((G, lag[:, :, None] * lag[:, None, :]),
                            (problem.suffix_cross, lag[:, :, None] * tgt[:, None, :])):
             ref = np.flip(np.cumsum(np.flip(outer, 0), 0), 0)
-            assert got.tobytes() == np.concatenate([ref[:1], ref]).tobytes()
+            assert got.tobytes() == ref.tobytes()
 
 
 @given(finite_series)
@@ -97,12 +95,12 @@ def test_build_gram_symmetric_psd(data):
        st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1))
 def test_gradients_match_suffix_recursion(data, d, dense, seed):
     problem = build_stage1(data, d)
-    n, q, p = problem.n, problem.p * d, problem.p
+    m, q, p = problem.n - 1, problem.p * d, problem.p
     rng = np.random.default_rng(seed)
-    th = rng.standard_normal((n, q, p)) * 10.0 ** rng.uniform(-2, 1)
+    th = rng.standard_normal((m, q, p)) * 10.0 ** rng.uniform(-2, 1)
     if not dense:
-        th *= rng.random((n, q, p)) < 0.15
-    # blocks 0 and 1 share every row: one entry nonzero in both
+        th *= rng.random((m, q, p)) < 0.15
+    # the base and the first increment: one entry nonzero in both
     a, c = rng.integers(q), rng.integers(p)
     th[0, a, c], th[1, a, c] = 0.7, -0.4
     want = suffix_gradients(problem, th)
@@ -119,7 +117,7 @@ def _assert_trace_matches_oracle(problem, est, lam):
     """objective_trace is the oracle's objective at zero and at the estimate."""
     n, q, p = problem.n, problem.p * problem.d, problem.p
     zero = prox_objective(problem, np.zeros((n, q, p)), lam)
-    end = prox_objective(problem, np.swapaxes(est.theta, 1, 2), lam)
+    end = folded_objective(problem, np.swapaxes(est.theta, 1, 2), lam)
     assert est.objective_trace == pytest.approx((zero, end), rel=1e-12)
 
 
@@ -194,23 +192,25 @@ def _refine_from_zero(problem, lam):
     The objective is the solve's own residual sum of squares and l1 charge,
     checked against the oracle's objective at the returned theta.
     """
-    th, certified, sse, l1 = _active_set_refine(problem, problem.n * lam / 2.0)
-    got = sse / problem.n + lam * l1
-    assert got == pytest.approx(prox_objective(problem, th, lam), rel=1e-12)
-    return certified, got
+    est = bcd_solve(problem, lam)
+    got = est.objective_trace[-1]
+    th = np.swapaxes(est.theta, 1, 2)
+    assert got == pytest.approx(folded_objective(problem, th, lam), rel=1e-12)
+    return est.converged, got
 
 
 @pytest.mark.parametrize("second", [0.2, -0.2])
 def test_refine_from_rank_deficient_support(second):
-    # blocks 1 and 2 span the same equations, so one coordinate nonzero in
-    # both gives a singular working Gram; with opposite signs the
-    # stationarity equalities on that support cannot be met at all.  The
-    # solve from zero must end below such a point, certified, at the oracle
+    # in the paper's layout blocks 1 and 2 span the same equations, so one
+    # coordinate nonzero in both is a point on a singular support; with
+    # opposite signs the stationarity equalities there cannot be met at
+    # all.  The solver holds that variable once, as its base block, and
+    # from zero it must end below such a point, certified, at the oracle
     rng = np.random.default_rng(0)
     problem = build_stage1(piecewise_series(rng, T=30, p=2, d=1, break_at=15), 1)
-    assert problem.suffix_gram[0].tobytes() == problem.suffix_gram[1].tobytes()
+    assert problem.suffix_gram.shape[0] == problem.lagged_rows.shape[0]
     lam = 0.02
-    th = np.zeros((problem.n, 2, 2))
+    th = np.zeros((problem.n, 2, 2))     # the paper's layout
     th[0, 0, 0], th[1, 0, 0] = 0.3, second
     start = prox_objective(problem, th, lam)
     certified, end = _refine_from_zero(problem, lam)
@@ -221,13 +221,14 @@ def test_refine_from_rank_deficient_support(second):
 
 
 def test_refine_descends_unattainable_face_from_zero():
-    # oracle-gate instance 24 (n=35, p=1, d=2, lambda=0.01): blocks 1 and 2
-    # span the same equations, so one coordinate in both gives a singular
-    # working Gram; twice on the way from zero the equalities on such a
-    # support cannot be met, and the solve descends along the null space
+    # oracle-gate instance 24 (n=35, p=1, d=2, lambda=0.01): twice on the
+    # way from zero the working support grows nearly as large as the 34
+    # equations, 30 and then 31 entries, its Gram is singular and the
+    # equalities on it cannot be met, so the solve descends along the null
+    # space
     problem, lam = solver_instance(24)
     assert (problem.n, problem.p, problem.d, lam) == (35, 1, 2, 0.01)
-    assert problem.suffix_gram[0].tobytes() == problem.suffix_gram[1].tobytes()
+    assert problem.suffix_gram.shape[0] == problem.lagged_rows.shape[0]
     certified, got = _refine_from_zero(problem, lam)
     assert certified
     oracle = prox_gradient_solve(problem, lam)
@@ -255,8 +256,7 @@ def _round_capped_solve(monkeypatch, rounds):
     """Solve the break instance with the active-set round cap set to rounds."""
     problem, lam = _break_instance()
     assert bcd_solve(problem, lam).converged
-    monkeypatch.setattr(stage1, "_active_set_refine",
-                        functools.partial(stage1._active_set_refine, max_rounds=rounds))
+    monkeypatch.setattr(stage1, "_MAX_ROUNDS", rounds)
     est = bcd_solve(problem, lam)
     assert not est.converged
     assert est.iterations == 0 and len(est.objective_trace) == 2
@@ -317,7 +317,7 @@ def test_solve_prices_each_support_once_in_one_theta():
 
     # the returned theta is the only dense array the solve keeps, and
     # reading off candidates makes no dense copy of it
-    theta_bytes = 8 * problem.n * problem.p * problem.d * problem.p
+    theta_bytes = 8 * (problem.n - 1) * problem.p * problem.d * problem.p
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -343,6 +343,19 @@ def test_kkt_all_zero_on_zero_data():
     assert report.inactive_max == 0.0
 
 
+def test_kkt_inactive_max_is_worst_zero_entry():
+    # oracle-gate instance 0: in the paper's layout an active base entry
+    # has a zero twin in block 2 with gradient kappa * sign, which would
+    # pin inactive_max at the threshold; one block per equation has no twin
+    problem, lam = solver_instance(0)
+    est = bcd_solve(problem, lam)
+    report = kkt_check(problem, est, lam)
+    th = np.swapaxes(est.theta, 1, 2)
+    zero_grads = np.abs(suffix_gradients(problem, th)[th == 0.0])
+    assert report.inactive_max == pytest.approx(float(np.max(zero_grads)), rel=1e-12)
+    assert report.inactive_max < 0.99 * report.threshold
+
+
 def test_kkt_perturbation_names_block():
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=30, p=2, d=1, break_at=15)
@@ -351,7 +364,7 @@ def test_kkt_perturbation_names_block():
     assert est.converged
     assert kkt_check(problem, est, 0.01, tol_kkt=1e-3).passed
 
-    active = [b for b in range(problem.n) if est.theta[b].any()]
+    active = [b for b, block in enumerate(est.theta) if block.any()]
     target = active[len(active) // 2]
     theta = est.theta.copy()
     theta[target] = theta[target] + 0.1
@@ -379,11 +392,11 @@ def test_extract_no_increments():
 
 
 def test_extract_cumulative_reconstruction():
-    # increments at blocks 100 and 200 (1-based): 0.6 -> -0.4 -> 0.5
+    # increments at blocks 98 and 198, times 100 and 200: 0.6 -> -0.4 -> 0.5
     theta = np.zeros((250, 1, 1))
     theta[0] = 0.6
-    theta[99] = -1.0
-    theta[199] = 0.9
+    theta[98] = -1.0
+    theta[198] = 0.9
     cands = extract_candidates(_estimate_from_theta(theta), None, d=1)
     assert cands.indices == (100, 200)
     levels = [seg[0, 0] for seg in cands.segment_coefficients]
@@ -394,7 +407,7 @@ def test_extract_cumulative_reconstruction():
 def test_extract_time_axis_shift():
     theta = np.zeros((10, 1, 2))
     theta[0] = 0.2
-    theta[5, 0, 1] = 0.3     # block 6 -> time 6 + d - 1
+    theta[4, 0, 1] = 0.3     # block 4 -> time 4 + d + 1
     cands = extract_candidates(_estimate_from_theta(theta), None, d=2)
     assert cands.indices == (7,)
 
@@ -411,8 +424,8 @@ def test_extract_default_tol_scales_with_base():
     # base block of norm 2e6 lifts the default threshold to 2.0
     theta = np.zeros((20, 1, 1))
     theta[0] = 2e6
-    theta[5] = 1.0
-    theta[9] = 3.0
+    theta[4] = 1.0
+    theta[8] = 3.0
     cands = extract_candidates(_estimate_from_theta(theta), None, d=1)
     assert cands.indices == (10,)
 
@@ -427,7 +440,7 @@ def test_extract_properties(data):
         theta[b] = data.draw(st.floats(0.1, 3.0))
     cands = extract_candidates(_estimate_from_theta(theta), 1e-9, d=1)
     assert cands.m_hat == len(blocks)
-    assert list(cands.indices) == sorted(b + 1 for b in blocks)
+    assert list(cands.indices) == sorted(b + 2 for b in blocks)
     assert all(s > 0 for s in cands.strengths)
     assert len(cands.segment_coefficients) == cands.m_hat + 1
     # each segment level is the cumulative sum up to its candidate block
