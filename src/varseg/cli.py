@@ -94,6 +94,19 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", help="output directory")
 
 
+def _add_scenario(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--scenario", type=int, choices=(1, 2, 3))
+    sp.add_argument("--seed", type=int)
+
+
+def _add_penalties(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--lambda-c", dest="lambda_c", type=float,
+                    help="override the stage-1 penalty constant C")
+    sp.add_argument("--eta", type=float, help="override the stage-2 level eta_n")
+    sp.add_argument("--omega-v", dest="omega_v", type=float,
+                    help="exponent v in the break charge omega_n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="varseg",
                                  description="Structural break detection for "
@@ -102,18 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="generate a benchmark scenario")
     _add_common(sp)
-    sp.add_argument("--scenario", type=int, choices=(1, 2, 3))
-    sp.add_argument("--seed", type=int)
+    _add_scenario(sp)
 
     sp = sub.add_parser("detect", help="detect breaks in a CSV series")
     _add_common(sp)
     sp.add_argument("--input", help="input series CSV")
     sp.add_argument("--d", type=int, help="lag order")
-    sp.add_argument("--lambda-c", dest="lambda_c", type=float,
-                    help="override the stage-1 penalty constant C")
-    sp.add_argument("--eta", type=float, help="override the stage-2 level eta_n")
-    sp.add_argument("--omega-v", dest="omega_v", type=float,
-                    help="exponent v in the break charge omega_n")
+    _add_penalties(sp)
     sp.add_argument("--zero-tol", dest="zero_tol", type=float)
     sp.add_argument("--difference", action="store_true", default=None,
                     help="first-difference the series after downsampling")
@@ -127,13 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("evaluate", help="replicate study on a scenario")
     _add_common(sp)
-    sp.add_argument("--scenario", type=int, choices=(1, 2, 3))
+    _add_scenario(sp)
     sp.add_argument("--replicates", type=int)
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--jobs", type=int, help="parallel workers")
-    sp.add_argument("--lambda-c", dest="lambda_c", type=float)
-    sp.add_argument("--eta", type=float)
-    sp.add_argument("--omega-v", dest="omega_v", type=float)
+    _add_penalties(sp)
     sp.add_argument("--strict", action="store_true", default=None,
                     help="exit 3 when a replicate fails, or its stage-1 solver "
                          "or a fit of its returned segmentation fails to "

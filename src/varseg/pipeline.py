@@ -107,9 +107,11 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
            zero_tol: float | None = None) -> DetectionResult:
     """Run both stages on one series and return everything they produced.
 
-    zero_tol is `extract_candidates`' threshold: None for its default, or
-    a value >= 0 (inf keeps no candidate); NaN or a negative value raises
-    ValueError before any work.
+    The lag order d must be an integer >= 1 with T > 3d, or
+    PipelineError("input", ...) is raised before any work.  zero_tol is
+    `extract_candidates`' threshold: None for its default, or a value >= 0
+    (inf keeps no candidate); NaN or a negative value raises ValueError
+    before any work.
     """
     if zero_tol is not None and not zero_tol >= 0:
         raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
@@ -118,6 +120,8 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
         raise PipelineError("input", "data must be a T x p matrix")
     if not np.all(np.isfinite(X)):
         raise PipelineError("input", "data contains non-finite values")
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise PipelineError("input", f"lag order d must be an integer >= 1, got {d!r}")
     T = X.shape[0]
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
@@ -140,8 +144,6 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
         problem = build_stage1(X, d)
         estimate = bcd_solve(problem, schedule.lambda_n)
         candidates = extract_candidates(estimate, zero_tol, d)
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError("stage1", str(exc)) from exc
     timings["stage1"] = time.perf_counter() - t0
@@ -188,11 +190,6 @@ def stage1_coverage_check(candidates, truth, radius: float) -> bool:
     return all(any(abs(t - c) <= radius for c in times) for t in truth)
 
 
-def coverage_radius(schedule: TuningSchedule, T: int, d: int) -> int:
-    """Localization radius ceil(n * gamma_n) used by the coverage check."""
-    return math.ceil(effective_sample_size(T, d) * schedule.gamma_n)
-
-
 def _run_one(preset: ScenarioPreset, seed: int,
              schedule: TuningSchedule | None) -> dict:
     record: dict = {"seed": seed}
@@ -229,13 +226,12 @@ def run_replicates(preset: ScenarioPreset, R: int, base_seed: int,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [base_seed + r for r in range(R)]
-    args = [(preset, s, schedule) for s in seeds]
     workers = min(jobs, R)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one_star, args))
+            records = list(pool.map(_run_one, [preset] * R, seeds, [schedule] * R))
     else:
-        records = [_run_one(*a) for a in args]
+        records = [_run_one(preset, s, schedule) for s in seeds]
 
     truth = preset.breaks
     T = preset.T
@@ -268,7 +264,3 @@ def run_replicates(preset: ScenarioPreset, R: int, base_seed: int,
         hausdorff_final_max=float(np.max(hf)) if hf else math.nan,
         records=records,
     )
-
-
-def _run_one_star(args):
-    return _run_one(*args)

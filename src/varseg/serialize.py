@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 
-from .model import SegmentedVarModel, TuningSchedule
+from .model import SegmentedVarModel
 from .pipeline import DetectionResult, ReplicateSummary
 from .stage1 import CandidateSet, ThetaEstimate
 from .stage2 import ScreeningResult
@@ -156,23 +157,12 @@ def screening_to_dict(result: ScreeningResult) -> dict:
     }
 
 
-def schedule_to_dict(schedule: TuningSchedule) -> dict:
-    return {
-        "lambda_constant": schedule.lambda_constant,
-        "lambda_n": schedule.lambda_n,
-        "eta_n": schedule.eta_n,
-        "omega_n": schedule.omega_n,
-        "gamma_n": schedule.gamma_n,
-        "v_exponent": schedule.v_exponent,
-    }
-
-
 def detection_to_dict(result: DetectionResult) -> dict:
     """Serialized detection output; timings are deliberately left out."""
     return {
         "final_breaks": list(result.final_breaks),
         "final_models": [m.tolist() for m in result.final_models],
-        "schedule": schedule_to_dict(result.schedule),
+        "schedule": asdict(result.schedule),
         "stage1": stage1_to_dict(result.stage1_estimate, result.stage1),
         "stage2": screening_to_dict(result.stage2),
     }

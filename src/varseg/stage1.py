@@ -163,7 +163,6 @@ def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
 
 
 _MAX_ROUNDS = 150
-_REFINE_SUPPORT_CAP = 2500
 
 
 def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
@@ -187,11 +186,12 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     every other entry, banned ones included, inside the threshold band.
     That round's residual gives the column's sum of squares; a column that
     leaves by another exit runs the kernel once more for it.  Those exits
-    leave the solve uncertified: a numerical breakdown on one pivot, a
-    support past `_REFINE_SUPPORT_CAP`, or `_MAX_ROUNDS` rounds (read at
-    call time); the busiest column measured, on scenario 3 at T=10000,
-    used 44 rounds.  The candidate is adopted when it is certified or when
-    its objective is below zero's, and zero is returned otherwise.
+    leave the solve uncertified: a numerical breakdown on one pivot, or
+    `_MAX_ROUNDS` rounds (read at call time); the busiest column measured,
+    on instance 48 of the oracle gate, used 104 rounds.  A round admits at
+    most one entry, so a support never outgrows the rounds used.  The
+    candidate is adopted when it is certified or when its objective is
+    below zero's, and zero is returned otherwise.
     converged is the certificate, so an uncertified solve reports
     converged=False (and `--strict` exits 3).
 
@@ -297,8 +297,6 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
             aa = np.append(aa, a_)
             ss = np.append(ss, np.sign(grad_col[b_, a_]))
             xv = np.append(xv, 0.0)
-            if bb.size > _REFINE_SUPPORT_CAP:
-                break
         if r is None:
             # left by another exit: this support was never priced
             converged = False

@@ -74,6 +74,8 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
                 *, start: np.ndarray | None = None) -> SegmentFit:
     """Penalized least-squares fit of one segment's coefficient block.
 
+    rng = (lo, hi) must lie within the response times, d+1 <= lo and
+    hi <= T+1, and hold more than d of them; otherwise ValueError.
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
     to a plain least-squares solve.  For eta > 0, `_segment_lasso` tries a
@@ -87,6 +89,9 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     X = np.asarray(data, dtype=float)
     T, p = X.shape
     lo, hi = int(rng[0]), int(rng[1])
+    if lo < d + 1 or hi > T + 1:
+        raise ValueError(f"segment [{lo}, {hi}) outside the response times "
+                         f"[{d + 1}, {T + 1})")
     if hi - lo <= d:
         raise ValueError(f"segment [{lo}, {hi}) too short for d={d}")
     check_eta(eta)
@@ -96,8 +101,7 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
             raise ValueError(f"start must be a finite {p} x {p * d} array")
     # response time t occupies design row t - 1 - d, whose lags reach back
     # d rows of the series
-    j_lo, j_hi = max(lo - 1 - d, 0), hi - 1 - d
-    A, B = _lagged_design(X[j_lo:j_hi + d], d)
+    A, B = _lagged_design(X[lo - 1 - d:hi - 1], d)
 
     converged, passes, certified = True, 0, False
     if eta == 0.0:
@@ -199,9 +203,10 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
             return None
         seen.append(signs)
         on = signs != 0.0
-        k = int(on.sum(axis=0).max())
+        count = on.sum(axis=0)
+        k = int(count.max())
         rows = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
-        live = np.take_along_axis(on.T, rows, axis=1)
+        live = np.arange(k) < count[:, None]
         system = np.where(live[:, :, None] & live[:, None, :],
                           G[rows[:, :, None], rows[:, None, :]], np.eye(k))
         rhs = np.where(live, (r - kappa * signs)[rows, cols], 0.0)[:, :, None]
@@ -212,7 +217,8 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
         if not np.all(np.isfinite(solved)):
             return None
         theta = np.zeros_like(theta)
-        theta[rows[live], np.broadcast_to(cols, rows.shape)[live]] = solved[live]
+        c_on, s_on = np.nonzero(live)
+        theta[rows[c_on, s_on], c_on] = solved[c_on, s_on]
         grad = r - G @ theta
         if (np.array_equal(np.sign(theta), signs)
                 and np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-9))

@@ -12,7 +12,7 @@ from conftest import piecewise_series
 from varseg import pipeline
 from varseg.model import default_schedule, effective_sample_size
 from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
-                             PipelineError, coverage_radius, data_scale,
+                             PipelineError, data_scale,
                              detect, hausdorff, run_replicates,
                              schedule_for_data, stage1_coverage_check)
 from varseg.simulate import (ScenarioPreset, make_scenario, scenario_preset,
@@ -74,6 +74,15 @@ def test_detect_rejects_bad_input():
         for given in (None, schedule):
             with pytest.raises(PipelineError, match="^input: data contains non-finite"):
                 detect(data, 1, given)
+    # a lag order that is not an integer >= 1 is input, with or without a
+    # given schedule
+    data = np.random.default_rng(4).standard_normal((40, 2))
+    schedule = schedule_for_data(data, 1)
+    for d in (0, -1, 1.5):
+        for given in (None, schedule):
+            with pytest.raises(PipelineError, match="^input: lag order d") as exc:
+                detect(data, d, given)
+            assert exc.value.stage == "input"
     # -1 would make every block a candidate and NaN none
     for zero_tol in (-1.0, math.nan):
         with pytest.raises(ValueError, match="zero_tol must be >= 0"):
@@ -175,12 +184,6 @@ def test_stage1_coverage_check():
     assert stage1_coverage_check((), (), radius=0)
 
 
-def test_coverage_radius_benchmark_value():
-    sched = default_schedule(296, 20, 1, 1.0)
-    assert coverage_radius(sched, 300, 1) == 18
-    assert coverage_radius(sched, 300, 1) == math.ceil(296 * sched.gamma_n)
-
-
 # ------------------------------------------------------------- replicates
 
 def test_run_replicates_structure():
@@ -217,8 +220,8 @@ def test_run_replicates_pool_is_no_wider_than_replicates(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, args):
-            return map(fn, args)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
     summary = run_replicates(SMALL_PRESET, R=2, base_seed=0, jobs=1000)

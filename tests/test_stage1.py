@@ -333,6 +333,37 @@ def test_solve_prices_each_support_once_in_one_theta():
     assert extract_peak <= 0.5 * theta_bytes
 
 
+def _scenario_1_seed_0():
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, 0))
+    return build_stage1(data, preset.d), schedule_for_data(data, preset.d).lambda_n
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(lambda: solver_instance(48), id="gate-48"),
+    pytest.param(_scenario_1_seed_0, id="s1-seed0"),
+])
+def test_solve_admits_at_most_one_entry_per_round(instance):
+    # a column starts from an empty support and each round admits at most
+    # one entry, so the k-th pricing (0-based) of a column sees at most k;
+    # this is why a support never outgrows the round cap
+    problem, lam = instance()
+    kernel = stage1._column_residual
+    sizes: dict[int, list[int]] = {}
+
+    def spy(problem, c, bb, aa, xv):
+        sizes.setdefault(c, []).append(bb.size)
+        return kernel(problem, c, bb, aa, xv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage1, "_column_residual", spy)
+        est = bcd_solve(problem, lam)
+    assert sorted(sizes) == list(range(problem.p))
+    for col in sizes.values():
+        assert all(size <= k for k, size in enumerate(col)), col
+    assert est.converged
+
+
 # --------------------------------------------------------------- kkt_check
 
 def test_kkt_all_zero_on_zero_data():

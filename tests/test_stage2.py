@@ -296,6 +296,18 @@ def test_fit_segment_errors():
             fit_segment(data, (2, 9), d=1, eta=eta)
 
 
+def test_fit_segment_rejects_a_range_outside_the_response_times():
+    # the response times are [d+1, T+1); a range past either end is
+    # refused rather than fit on other rows under its own label
+    rng = np.random.default_rng(5)
+    data = piecewise_series(rng, T=30, p=2, d=2, break_at=15)
+    whole = fit_segment(data, (3, 31), d=2, eta=1e-3)
+    assert whole.range == (3, 31) and whole.converged
+    for bad in ((2, 31), (0, 31), (-4, 20), (3, 32), (10, 40)):
+        with pytest.raises(ValueError, match="outside the response times"):
+            fit_segment(data, bad, d=2, eta=1e-3)
+
+
 # ---------------------------------------------------------- evaluate_subset
 
 def test_evaluate_empty_equals_full_fit():
