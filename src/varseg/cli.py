@@ -1,27 +1,22 @@
 """Command-line front end: simulate / detect / evaluate / plot.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 malformed data,
-3 solver non-convergence under --strict.  VARSEG_LOG={error|warn|info|debug}
-controls verbosity.
+3 solver non-convergence under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_type_hints
 
-from . import pipeline, plots, serialize
+from . import plots, serialize
 from .model import validate_model
 from .pipeline import PipelineError, detect, run_replicates, schedule_for_data
 from .serialize import DataError
 from .simulate import make_scenario, scenario_preset, simulate
-
-logger = logging.getLogger("varseg")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NOCONV = 0, 1, 2, 3
 
@@ -174,7 +169,6 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     data = simulate(config)
     serialize.write_csv(out / "data.csv", data)
     serialize.dump_json(out / "model.json", serialize.model_to_dict(config.model))
-    logger.info("wrote %s and %s", out / "data.csv", out / "model.json")
     return EXIT_OK
 
 
@@ -254,16 +248,7 @@ _COMMANDS = {
 }
 
 
-def _setup_logging() -> None:
-    level = {"error": logging.ERROR, "warn": logging.WARNING,
-             "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("VARSEG_LOG", "warn").lower(), logging.WARNING)
-    logging.basicConfig(level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-
-
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

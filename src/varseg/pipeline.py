@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import logging
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -17,8 +15,6 @@ from .simulate import ScenarioPreset, make_scenario, simulate
 from .stage1 import (CandidateSet, ThetaEstimate, bcd_solve, build_stage1,
                      extract_candidates)
 from .stage2 import ScreeningResult, select_breaks
-
-logger = logging.getLogger(__name__)
 
 # The rate formulas are calibrated for unit-variance data; real penalties
 # scale with the average column variance.  The O(1) factors below were fixed
@@ -52,7 +48,6 @@ class DetectionResult:
     final_breaks: tuple[int, ...]
     final_models: tuple[np.ndarray, ...]
     schedule: TuningSchedule
-    timings: dict[str, float]
 
 
 @dataclass
@@ -138,31 +133,21 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
     if schedule is None:
         schedule = schedule_for_data(X, d)
 
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     try:
         problem = build_stage1(X, d)
         estimate = bcd_solve(problem, schedule.lambda_n)
         candidates = extract_candidates(estimate, zero_tol, d)
     except Exception as exc:
         raise PipelineError("stage1", str(exc)) from exc
-    timings["stage1"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     try:
         screening = select_breaks(X, candidates, d, schedule)
     except Exception as exc:
         raise PipelineError("stage2", str(exc)) from exc
-    timings["stage2"] = time.perf_counter() - t0
-
-    logger.info("detect: %d candidates -> %d breaks %s (stage1 %.2fs, stage2 %.2fs)",
-                candidates.m_hat, screening.m_final, screening.chosen_breaks,
-                timings["stage1"], timings["stage2"])
     return DetectionResult(
         stage1=candidates, stage1_estimate=estimate, stage2=screening,
         final_breaks=screening.chosen_breaks,
         final_models=tuple(f.theta for f in screening.fits),
-        schedule=schedule, timings=timings,
+        schedule=schedule,
     )
 
 
@@ -182,8 +167,8 @@ def hausdorff(reference, estimate) -> float:
 
 
 def stage1_coverage_check(candidates, truth, radius: float) -> bool:
-    """True when candidates are at least as many as truth and cover it."""
-    times = candidates.indices if isinstance(candidates, CandidateSet) else tuple(candidates)
+    """True when the candidate times are at least as many as truth and cover it."""
+    times = tuple(candidates)
     truth = tuple(truth)
     if len(times) < len(truth):
         return False

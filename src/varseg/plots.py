@@ -6,7 +6,7 @@ bundles yields identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,16 +34,11 @@ class PlotBundle:
             object.__setattr__(self, name, marks)
 
 
-def make_plot_bundle(data: np.ndarray, detection=None,
-                     truth_breaks=()) -> PlotBundle:
-    X = np.asarray(data, dtype=float)
-    if detection is None:
-        return PlotBundle(series=X, truth_markers=tuple(truth_breaks))
+def make_plot_bundle(data: np.ndarray, detection) -> PlotBundle:
     return PlotBundle(
-        series=X,
+        series=np.asarray(data, dtype=float),
         candidate_markers=detection.stage1.indices,
         final_markers=detection.final_breaks,
-        truth_markers=tuple(truth_breaks),
         heatmaps=detection.final_models,
     )
 

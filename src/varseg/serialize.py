@@ -1,8 +1,8 @@
 """CSV ingestion/emission and the JSON wire formats.
 
 Numbers in CSV are written with 17 significant digits so a write/read
-round trip reproduces every float bit-exactly.  JSON artifacts carry no
-timings and use fixed field names, so equal inputs produce equal bytes.
+round trip reproduces every float bit-exactly.  JSON artifacts use fixed
+field names, so equal inputs produce equal bytes.
 """
 
 from __future__ import annotations
@@ -124,18 +124,6 @@ def model_to_dict(model: SegmentedVarModel) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> SegmentedVarModel:
-    try:
-        return SegmentedVarModel(
-            p=int(doc["p"]), d=int(doc["d"]), T=int(doc["T"]),
-            break_points=tuple(int(b) for b in doc["breaks"]),
-            segments=tuple(np.asarray(s, dtype=float) for s in doc["segments"]),
-            noise_cov=np.asarray(doc["noise_cov"], dtype=float),
-        )
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed model document: {exc}") from exc
-
-
 def stage1_to_dict(estimate: ThetaEstimate, candidates: CandidateSet) -> dict:
     return {
         "lambda": estimate.lambda_used,
@@ -158,7 +146,7 @@ def screening_to_dict(result: ScreeningResult) -> dict:
 
 
 def detection_to_dict(result: DetectionResult) -> dict:
-    """Serialized detection output; timings are deliberately left out."""
+    """Serialized detection output."""
     return {
         "final_breaks": list(result.final_breaks),
         "final_models": [m.tolist() for m in result.final_models],

@@ -49,12 +49,7 @@ _PRESETS = {
 }
 
 
-def scenario_preset(which: int | str) -> ScenarioPreset:
-    if isinstance(which, str):
-        for preset in _PRESETS.values():
-            if preset.name == which:
-                return preset
-        which = int(which)
+def scenario_preset(which: int) -> ScenarioPreset:
     try:
         return _PRESETS[which]
     except KeyError:

@@ -31,15 +31,12 @@ the subset searches the backward loop is checked against.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import TuningSchedule, check_eta, effective_sample_size
 from .stage1 import CandidateSet, _lagged_design
-
-logger = logging.getLogger(__name__)
 
 SEGMENT_TOL = 1e-7
 SEGMENT_MAX_PASSES = 10_000
@@ -61,7 +58,6 @@ class SegmentFit:
 @dataclass(frozen=True, eq=False)
 class ScreeningResult:
     chosen_breaks: tuple[int, ...]
-    m_final: int
     L_n: float
     ic: float
     fits: tuple[SegmentFit, ...]
@@ -362,10 +358,7 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     _, _, best = min((val, (len(s), s), s) for s, val in trace)
     L_best, best_fits = _subset_loss(X, best, d, eta, n, cache)
     ic = _ic(L_best, len(best), omega)
-    logger.debug("select_breaks: %d candidates -> %d breaks, ic=%.6g",
-                 len(cands), len(best), ic)
-    return ScreeningResult(chosen_breaks=best, m_final=len(best),
-                           L_n=float(L_best), ic=float(ic),
+    return ScreeningResult(chosen_breaks=best, L_n=float(L_best), ic=float(ic),
                            fits=best_fits, search_trace=tuple(trace),
                            eta_n=float(schedule.eta_n),
                            omega_n=float(schedule.omega_n))

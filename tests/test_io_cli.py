@@ -1,8 +1,9 @@
 """Serialization round trips, preprocessing, SVG output, and the CLI."""
 
 import importlib.util
-import json
-import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,10 +15,9 @@ from varseg import cli, pipeline, stage1, stage2
 from varseg.cli import main
 from varseg.model import SegmentedVarModel
 from varseg.plots import (PlotBundle, bundle_from_dict, bundle_to_dict,
-                          make_plot_bundle, render_svg)
+                          render_svg)
 from varseg.serialize import (DataError, dump_json, ingest_csv, load_json,
-                              model_from_dict, model_to_dict, read_csv,
-                              write_csv)
+                              model_to_dict, read_csv, write_csv)
 from varseg.simulate import scenario_preset
 
 
@@ -129,17 +129,13 @@ def test_model_json_round_trip(tmp_path):
     )
     path = tmp_path / "model.json"
     dump_json(path, model_to_dict(model))
-    back = model_from_dict(load_json(path))
-    assert (back.p, back.d, back.T) == (2, 2, 50)
-    assert back.break_points == (20,)
-    for a, b in zip(back.segments, model.segments):
-        np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(back.noise_cov, model.noise_cov)
-
-
-def test_model_from_dict_rejects_malformed():
-    with pytest.raises(DataError, match="malformed"):
-        model_from_dict({"p": 2, "d": 1})
+    doc = load_json(path)
+    assert (doc["p"], doc["d"], doc["T"]) == (2, 2, 50)
+    assert doc["breaks"] == [20]
+    assert len(doc["segments"]) == len(model.segments)
+    for seg, want in zip(doc["segments"], model.segments):
+        assert np.asarray(seg).tobytes() == want.tobytes()
+    assert np.asarray(doc["noise_cov"]).tobytes() == model.noise_cov.tobytes()
 
 
 # ---------------------------------------------------------------- plots
@@ -215,6 +211,20 @@ def test_cli_detect_artifacts(small_csv, tmp_path, capsys):
     assert len(bundle["series"]) == 80
     assert bundle["final_markers"] == doc["final_breaks"]
     ET.parse(out / "plot.svg")
+
+
+def test_cli_detect_writes_nothing_to_stderr(small_csv, tmp_path):
+    # a converged run reports on stdout only, whatever VARSEG_LOG says; a
+    # subprocess, because pytest's log handlers would hide output in-process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, VARSEG_LOG="debug", PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "varseg", "detect", "--input",
+                           str(small_csv), "--out", str(tmp_path / "det")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.startswith("breaks:")
+    assert done.stderr == ""
 
 
 def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,

@@ -1,5 +1,6 @@
 """End-to-end detection wiring, metrics, and the replicate harness."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -10,14 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import piecewise_series
 from varseg import pipeline
-from varseg.model import default_schedule, effective_sample_size
+from varseg.model import default_schedule
 from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
                              PipelineError, data_scale,
                              detect, hausdorff, run_replicates,
                              schedule_for_data, stage1_coverage_check)
 from varseg.simulate import (ScenarioPreset, make_scenario, scenario_preset,
                              simulate)
-from varseg.stage1 import CandidateSet
 
 
 SMALL_PRESET = ScenarioPreset(name="small", breaks=(30,), T=60, p=2)
@@ -113,16 +113,28 @@ def test_detect_labels_stage2_failures():
         detect(data, 1, schedule)
 
 
+def _assert_identical(a, b, where="result"):
+    """Equal through dataclasses and tuples; arrays and floats by their bytes."""
+    assert type(a) is type(b), where
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            _assert_identical(getattr(a, f.name), getattr(b, f.name),
+                              f"{where}.{f.name}")
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for k, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{where}[{k}]")
+    elif isinstance(a, (np.ndarray, float)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+    else:
+        assert a == b, where
+
+
 def test_detect_is_deterministic():
     rng = np.random.default_rng(3)
     data = piecewise_series(rng, T=80, p=2, d=1, break_at=40)
-    a = detect(data, 1)
-    b = detect(data, 1)
-    assert a.final_breaks == b.final_breaks
-    assert a.stage1.indices == b.stage1.indices
-    np.testing.assert_array_equal(a.stage1_estimate.theta,
-                                  b.stage1_estimate.theta)
-    assert a.schedule == b.schedule
+    _assert_identical(detect(data, 1), detect(data, 1))
 
 
 @pytest.mark.parametrize("scenario, seed", [(1, 0), (3, 1)])
@@ -149,7 +161,6 @@ def test_detect_benchmark_instance_localizes_both_breaks():
     for truth in (100, 200):
         assert min(abs(b - truth) for b in det.final_breaks) <= 10
     assert len(det.final_models) == 3
-    assert det.timings.keys() == {"stage1", "stage2"}
 
 
 # ------------------------------------------------------------------ metrics
@@ -178,9 +189,6 @@ def test_stage1_coverage_check():
     assert not stage1_coverage_check((98, 203), (100, 200), radius=2)
     # more truth points than candidates can never cover
     assert not stage1_coverage_check((150,), (100, 200), radius=1000)
-    cands = CandidateSet(indices=(97, 201, 240), m_hat=3,
-                         segment_coefficients=(), strengths=(1.0, 1.0, 1.0))
-    assert stage1_coverage_check(cands, (100, 200), radius=4)
     assert stage1_coverage_check((), (), radius=0)
 
 

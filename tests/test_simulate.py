@@ -14,7 +14,6 @@ def test_preset_lookup():
     assert scenario_preset(1).breaks == (100, 200)
     assert scenario_preset(2).breaks == (30, 250)
     assert scenario_preset(3).random_structure
-    assert scenario_preset("S2_boundary").breaks == (30, 250)
     with pytest.raises(ValueError):
         scenario_preset(4)
 

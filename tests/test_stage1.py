@@ -15,8 +15,8 @@ from prox_oracle import prox_gradient_solve, prox_objective
 from varseg import stage1
 from varseg.pipeline import schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
-from varseg.stage1 import (CandidateSet, ThetaEstimate, _gradients, bcd_solve,
-                           build_stage1, extract_candidates, kkt_check)
+from varseg.stage1 import (ThetaEstimate, _gradients, bcd_solve, build_stage1,
+                           extract_candidates, kkt_check)
 
 finite_series = arrays(
     float, st.tuples(st.integers(4, 12), st.integers(1, 3)),

@@ -413,14 +413,14 @@ def test_select_breaks_matches_the_reference_search(seed):
         assert abs(a - b) <= 1e-12 * abs(b)
     L, _ = evaluate_subset(data, got.chosen_breaks, preset.d, schedule)
     assert got.L_n == L
-    assert got.ic == L + got.m_final * schedule.omega_n
+    assert got.ic == L + len(got.chosen_breaks) * schedule.omega_n
 
 
 def test_select_no_candidates():
     data = ar_series(40)
     schedule = make_schedule(eta=0.0, omega=5.0)
     result = select_breaks(data, candidate_set(()), 1, schedule)
-    assert result.m_final == 0 and result.chosen_breaks == ()
+    assert result.chosen_breaks == ()
     L_empty, _ = evaluate_subset(data, (), 1, schedule)
     assert result.ic == pytest.approx(L_empty)
     assert result.L_n == pytest.approx(L_empty)
@@ -431,7 +431,7 @@ def test_select_huge_omega_prunes_everything():
     data = piecewise_series(rng, T=60, p=2, d=1, break_at=30)
     schedule = make_schedule(eta=0.0, omega=1e9)
     result = select_breaks(data, candidate_set((20, 30, 40)), 1, schedule)
-    assert result.m_final == 0
+    assert len(result.chosen_breaks) == 0
     assert oracle(data, (20, 30, 40), schedule)[0] == ()
 
 
@@ -453,7 +453,7 @@ def test_select_ic_identity_over_trace():
     for subset, ic in result.search_trace:
         L, _ = evaluate_subset(data, subset, 1, schedule)
         assert ic == pytest.approx(L + len(subset) * 0.2, rel=1e-12)
-    assert result.ic == pytest.approx(result.L_n + result.m_final * 0.2)
+    assert result.ic == pytest.approx(result.L_n + len(result.chosen_breaks) * 0.2)
     assert result.chosen_breaks == oracle(data, (12, 25, 38), schedule)[0]
 
 
@@ -470,7 +470,7 @@ def test_select_backward_removals_strictly_decrease():
     for s, v in result.search_trace:
         path.setdefault(len(s), []).append(v)
     best_by_size = {k: min(v) for k, v in path.items()}
-    for k in range(result.m_final + 1, 6):
+    for k in range(len(result.chosen_breaks) + 1, 6):
         if k - 1 in best_by_size and k in best_by_size:
             assert best_by_size[k - 1] <= best_by_size[k] + 1e-12
 
