@@ -35,7 +35,6 @@ class RunConfig:
     lambda_c: float | None = None
     eta: float | None = None
     omega_v: float | None = None    # None: the default exponent 0.5
-    zero_tol: float | None = None
     seed: int = 0
     replicates: int = 20
     scenario: int = 1
@@ -117,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="input series CSV")
     sp.add_argument("--d", type=int, help="lag order")
     _add_penalties(sp)
-    sp.add_argument("--zero-tol", dest="zero_tol", type=float)
     sp.add_argument("--difference", action="store_true", default=None,
                     help="first-difference the series after downsampling")
     sp.add_argument("--downsample", type=int, help="keep every k-th row")
@@ -179,7 +177,7 @@ def _cmd_detect(cfg: RunConfig) -> int:
     data = serialize.ingest_csv(cfg.input, downsample=cfg.downsample,
                                 difference=cfg.difference, center=cfg.center)
     schedule = _schedule(data, cfg.d, cfg)
-    result = detect(data, cfg.d, schedule, zero_tol=cfg.zero_tol)
+    result = detect(data, cfg.d, schedule)
     serialize.dump_json(out / "result.json", serialize.detection_to_dict(result))
     bundle = plots.make_plot_bundle(data, result)
     serialize.dump_json(out / "plot_bundle.json", plots.bundle_to_dict(bundle))

@@ -170,6 +170,17 @@ def check_eta(eta: float) -> None:
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
 
 
+def check_schedule(schedule: TuningSchedule) -> None:
+    """Raise ValueError unless lambda_n is finite and > 0 and eta_n and
+    omega_n are finite and >= 0."""
+    lam, omega = schedule.lambda_n, schedule.omega_n
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda_n must be finite and > 0, got {lam}")
+    check_eta(schedule.eta_n)
+    if not (math.isfinite(omega) and omega >= 0):
+        raise ValueError(f"omega_n must be finite and >= 0, got {omega}")
+
+
 def default_schedule(n, p: int, d: int, C: float, v: float = 0.5) -> TuningSchedule:
     """Rate-based penalty levels for sample size n, dimension p, lag d.
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (TuningSchedule, check_eta, default_schedule,
+from .model import (TuningSchedule, check_schedule, default_schedule,
                     effective_sample_size)
 from .simulate import ScenarioPreset, make_scenario, simulate
 from .stage1 import (CandidateSet, ThetaEstimate, bcd_solve, build_stage1,
@@ -79,7 +79,8 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
 
     lambda_c (the constant C in lambda_n) and eta (the level eta_n) bypass
     the variance scaling entirely when given.  Raises ValueError unless
-    C and v are finite and positive and eta is finite and >= 0.
+    C and v are finite and positive and the schedule passes
+    `check_schedule` (a finite C can still overflow lambda_n).
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
@@ -88,9 +89,10 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
     C = lambda_c if lambda_c is not None else LAMBDA_SCALE * s2
     base = default_schedule(n, p, d, C, v)
     eta_n = eta if eta is not None else ETA_SCALE * s2 * base.gamma_n
-    check_eta(eta_n)
-    return replace(base, eta_n=float(eta_n),
-                   omega_n=float(OMEGA_SCALE * s2 * base.omega_n))
+    schedule = replace(base, eta_n=float(eta_n),
+                       omega_n=float(OMEGA_SCALE * s2 * base.omega_n))
+    check_schedule(schedule)
+    return schedule
 
 
 def _physical_memory() -> int:
@@ -98,18 +100,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
-           zero_tol: float | None = None) -> DetectionResult:
+def detect(data: np.ndarray, d: int,
+           schedule: TuningSchedule | None = None) -> DetectionResult:
     """Run both stages on one series and return everything they produced.
 
-    The lag order d must be an integer >= 1 with T > 3d, or
-    PipelineError("input", ...) is raised before any work.  zero_tol is
-    `extract_candidates`' threshold: None for its default, or a value >= 0
-    (inf keeps no candidate); NaN or a negative value raises ValueError
-    before any work.
+    The data must be a finite T x p matrix, the lag order d an integer
+    >= 1 with T > 3d, and the schedule, given or derived from the data,
+    must pass `check_schedule`; otherwise PipelineError("input", ...) is
+    raised before any work.
+    Candidates are the nonzero increments of the stage-1 estimate
+    (`extract_candidates`).
     """
-    if zero_tol is not None and not zero_tol >= 0:
-        raise ValueError(f"zero_tol must be >= 0, got {zero_tol}")
     X = np.asarray(data, dtype=float)
     if X.ndim != 2:
         raise PipelineError("input", "data must be a T x p matrix")
@@ -130,13 +131,17 @@ def detect(data: np.ndarray, d: int, schedule: TuningSchedule | None = None, *,
                                      f"suffix arrays and coefficients, more "
                                      f"than the {have / 2**30:.1f} GiB of "
                                      f"physical memory")
-    if schedule is None:
-        schedule = schedule_for_data(X, d)
+    try:
+        if schedule is None:
+            schedule = schedule_for_data(X, d)
+        check_schedule(schedule)
+    except ValueError as exc:
+        raise PipelineError("input", str(exc)) from None
 
     try:
         problem = build_stage1(X, d)
         estimate = bcd_solve(problem, schedule.lambda_n)
-        candidates = extract_candidates(estimate, zero_tol, d)
+        candidates = extract_candidates(estimate, d)
     except Exception as exc:
         raise PipelineError("stage1", str(exc)) from exc
     try:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .model import SegmentedVarModel
 from .pipeline import DetectionResult, ReplicateSummary
-from .stage1 import CandidateSet, ThetaEstimate
-from .stage2 import ScreeningResult
 
 
 class DataError(ValueError):
@@ -124,35 +122,29 @@ def model_to_dict(model: SegmentedVarModel) -> dict:
     }
 
 
-def stage1_to_dict(estimate: ThetaEstimate, candidates: CandidateSet) -> dict:
-    return {
-        "lambda": estimate.lambda_used,
-        "converged": estimate.converged,
-        "iterations": estimate.iterations,
-        "candidates": list(candidates.indices),
-        "segments": [seg.tolist() for seg in candidates.segment_coefficients],
-    }
-
-
-def screening_to_dict(result: ScreeningResult) -> dict:
-    return {
-        "breaks": list(result.chosen_breaks),
-        "ic": result.ic,
-        "L_n": result.L_n,
-        "omega_n": result.omega_n,
-        "eta_n": result.eta_n,
-        "trace": [{"subset": list(s), "ic": v} for s, v in result.search_trace],
-    }
-
-
 def detection_to_dict(result: DetectionResult) -> dict:
-    """Serialized detection output."""
+    """Serialized detection output; the penalty levels come from its schedule."""
+    estimate, candidates = result.stage1_estimate, result.stage1
+    screening, schedule = result.stage2, result.schedule
     return {
         "final_breaks": list(result.final_breaks),
         "final_models": [m.tolist() for m in result.final_models],
-        "schedule": asdict(result.schedule),
-        "stage1": stage1_to_dict(result.stage1_estimate, result.stage1),
-        "stage2": screening_to_dict(result.stage2),
+        "schedule": asdict(schedule),
+        "stage1": {
+            "lambda": float(schedule.lambda_n),
+            "converged": estimate.converged,
+            "iterations": estimate.iterations,
+            "candidates": list(candidates.indices),
+            "segments": [seg.tolist() for seg in candidates.segment_coefficients],
+        },
+        "stage2": {
+            "breaks": list(screening.chosen_breaks),
+            "ic": screening.ic,
+            "L_n": screening.L_n,
+            "omega_n": float(schedule.omega_n),
+            "eta_n": float(schedule.eta_n),
+            "trace": [{"subset": list(s), "ic": v} for s, v in screening.search_trace],
+        },
     }
 
 

@@ -56,7 +56,6 @@ class Stage1Problem:
 @dataclass(frozen=True, eq=False)
 class ThetaEstimate:
     theta: np.ndarray          # (n-1, p, p*d), base then one increment per equation
-    lambda_used: float
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...]
@@ -202,8 +201,8 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     solve's own residual sum of squares over n plus the l1 charge), so
     neither takes another pass over the rows.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0.0 < lam < np.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     n, p, q = problem.n, problem.p, problem.p * problem.d
     G, Cc = problem.suffix_gram, problem.suffix_cross
     kappa = n * lam / 2.0
@@ -308,9 +307,8 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     if not (converged or obj < start):
         th.fill(0.0)
         obj = start
-    return ThetaEstimate(theta=np.swapaxes(th, 1, 2), lambda_used=float(lam),
-                         iterations=0, converged=converged,
-                         objective_trace=(start, obj))
+    return ThetaEstimate(theta=np.swapaxes(th, 1, 2), iterations=0,
+                         converged=converged, objective_trace=(start, obj))
 
 
 def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
@@ -344,23 +342,21 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
                      inactive_max=inactive_max, threshold=kappa, passed=passed)
 
 
-def extract_candidates(estimate: ThetaEstimate, zero_tol: float | None,
-                       d: int) -> CandidateSet:
+def extract_candidates(estimate: ThetaEstimate, d: int) -> CandidateSet:
     """Read off candidate break times and cumulative segment coefficients.
 
-    Increment block b >= 1 (0-based) with max-norm above zero_tol becomes
-    candidate time t = b + d + 1, the time of equation b's response.
-    Default zero_tol is 1e-6 * max(1, ||theta_0||_inf), theta_0 the base.
-    Segment k+1 coefficients are the cumulative sum of all increments up to
-    and including the k-th candidate block.
+    Increment block b >= 1 (0-based) with a nonzero entry becomes candidate
+    time t = b + d + 1, the time of equation b's response.  The solve
+    writes +0.0 off each column's support, so no threshold is needed; a
+    block of -0.0 has max-norm 0 and is no candidate.  Segment k+1
+    coefficients are the cumulative sum of all increments up to and
+    including the k-th candidate block.
     """
     th = estimate.theta
     n = th.shape[0]
-    if zero_tol is None:
-        zero_tol = 1e-6 * max(1.0, float(np.max(np.abs(th[0]))))
     # max-norm per block without a dense |theta| copy
     mags = np.maximum(th.max(axis=(1, 2)), -th.min(axis=(1, 2)))
-    blocks = [b for b in range(1, n) if mags[b] > zero_tol]
+    blocks = [b for b in range(1, n) if mags[b] > 0.0]
 
     segments = [th[0].copy()]
     cum = th[0].copy()

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TuningSchedule, check_eta, effective_sample_size
+from .model import (TuningSchedule, check_eta, check_schedule,
+                    effective_sample_size)
 from .stage1 import CandidateSet, _lagged_design
 
 SEGMENT_TOL = 1e-7
@@ -62,8 +63,6 @@ class ScreeningResult:
     ic: float
     fits: tuple[SegmentFit, ...]
     search_trace: tuple[tuple[tuple[int, ...], float], ...]
-    eta_n: float
-    omega_n: float
 
 
 def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
@@ -304,7 +303,9 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     the smaller (IC, subset) within a level, and toward fewer breaks, then
     the lexicographically smaller break vector, over the trace; the
     reported L_n and ic are those `evaluate_subset` gives the chosen subset.
+    The schedule must pass `check_schedule`, or ValueError is raised.
     """
+    check_schedule(schedule)
     X = np.asarray(data, dtype=float)
     T = X.shape[0]
     cands = premerge_candidates(candidates, d, T)
@@ -359,6 +360,4 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     L_best, best_fits = _subset_loss(X, best, d, eta, n, cache)
     ic = _ic(L_best, len(best), omega)
     return ScreeningResult(chosen_breaks=best, L_n=float(L_best), ic=float(ic),
-                           fits=best_fits, search_trace=tuple(trace),
-                           eta_n=float(schedule.eta_n),
-                           omega_n=float(schedule.omega_n))
+                           fits=best_fits, search_trace=tuple(trace))

@@ -163,7 +163,7 @@ def small_candidate_runs():
                                      lambda_c=1.1 * data_scale(data))
         problem = build_stage1(data, preset.d)
         estimate = bcd_solve(problem, schedule.lambda_n)
-        candidates = extract_candidates(estimate, None, preset.d)
+        candidates = extract_candidates(estimate, preset.d)
         merged = premerge_candidates(candidates, preset.d, data.shape[0])
         if len(merged) > 10:
             continue

@@ -1,5 +1,7 @@
 """Serialization round trips, preprocessing, SVG output, and the CLI."""
 
+import argparse
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -323,7 +325,8 @@ def test_cli_evaluate_override_fixes_shared_schedule(tmp_path, monkeypatch,
 
 BAD_OVERRIDES = (["--eta", "-1"], ["--eta", "nan"], ["--eta", "inf"],
                  ["--omega-v", "nan"], ["--omega-v", "inf"],
-                 ["--lambda-c", "nan"], ["--lambda-c", "inf"])
+                 ["--lambda-c", "nan"], ["--lambda-c", "inf"],
+                 ["--lambda-c", "1e308"])
 
 
 @pytest.mark.parametrize("flags", BAD_OVERRIDES, ids=" ".join)
@@ -344,25 +347,6 @@ def test_cli_evaluate_rejects_bad_penalty_override(tmp_path, monkeypatch, capsys
                  "--eta", "-1", "--out", str(out)]) == 1
     assert "error: eta must be finite and >= 0" in capsys.readouterr().err
     assert not (out / "summary.json").exists()
-
-
-@pytest.mark.parametrize("value", ["-1", "nan"])
-def test_cli_detect_rejects_bad_zero_tol(small_csv, tmp_path, monkeypatch, capsys,
-                                         value):
-    # -1 would make every block a candidate, NaN none; both are refused
-    # before stage 1 runs
-    monkeypatch.setattr(pipeline, "build_stage1", None)
-    out = tmp_path / "o"
-    assert main(["detect", "--input", str(small_csv), "--zero-tol", value,
-                 "--out", str(out)]) == 1
-    assert "error: zero_tol must be >= 0" in capsys.readouterr().err
-    assert not (out / "result.json").exists()
-
-
-def test_cli_detect_accepts_infinite_zero_tol(small_csv, tmp_path, capsys):
-    assert main(["detect", "--input", str(small_csv), "--zero-tol", "inf",
-                 "--out", str(tmp_path / "o")]) == 0
-    assert load_json(tmp_path / "o" / "result.json")["stage1"]["candidates"] == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-5"])
@@ -457,6 +441,24 @@ def test_cli_removed_search_flags_are_usage_errors(small_csv, tmp_path):
     assert main(["detect", "--input", str(small_csv), "--strategy", "backward",
                  "--out", out]) == 1
     assert main(["evaluate", "--exhaustive-cap", "12", "--out", out]) == 1
+
+
+def test_cli_flags_and_config_keys_agree(small_csv, tmp_path):
+    # every RunConfig field is some subcommand's flag and every flag but
+    # --config a field, so one route cannot set what the other cannot
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for sp in sub.choices.values() for a in sp._actions
+             if a.option_strings and a.dest not in ("help", "config")}
+    assert dests == {f.name for f in dataclasses.fields(cli.RunConfig)}
+    # the candidate threshold is gone from both
+    out = str(tmp_path / "o")
+    assert main(["detect", "--input", str(small_csv), "--zero-tol", "0",
+                 "--out", out]) == 1
+    cfg = tmp_path / "cfg.json"
+    dump_json(cfg, {"zero_tol": 0.0})
+    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
+                 "--out", out]) == 1
 
 
 def test_cli_config_file_rejects_unknown_keys(small_csv, tmp_path):

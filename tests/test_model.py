@@ -1,15 +1,16 @@
 """Model types, validation, and the rate-based tuning schedule."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from varseg.model import (SegmentedVarModel, companion_spectral_radius,
-                          default_schedule, effective_sample_size,
-                          validate_model)
+from varseg.model import (SegmentedVarModel, check_schedule,
+                          companion_spectral_radius, default_schedule,
+                          effective_sample_size, validate_model)
 
 # Frozen reference values, computed independently with mpmath at 50 digits.
 LAMBDA_N100_P1_D1_C1 = 0.42919320525786947   # 2*sqrt(log(100)/100)
@@ -62,6 +63,20 @@ def test_schedule_rejects_bad_args():
             default_schedule(100, 1, 1, C=bad)
         with pytest.raises(ValueError, match="v must be finite"):
             default_schedule(100, 1, 1, C=1.0, v=bad)
+
+
+def test_check_schedule():
+    sched = default_schedule(100, 2, 1, C=1.0)
+    check_schedule(sched)
+    check_schedule(replace(sched, eta_n=0.0, omega_n=0.0))   # zero levels are valid
+    bad = [("lambda_n", v, "lambda_n must be finite and > 0")
+           for v in (0.0, -1.0, math.nan, math.inf)]
+    bad += [(name, v, message) for v in (-5.0, math.nan, math.inf)
+            for name, message in (("eta_n", "eta must be finite and >= 0"),
+                                  ("omega_n", "omega_n must be finite and >= 0"))]
+    for name, value, message in bad:
+        with pytest.raises(ValueError, match=message):
+            check_schedule(replace(sched, **{name: value}))
 
 
 def test_companion_radius_d1_scaled_identity():

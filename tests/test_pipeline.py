@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import piecewise_series
-from varseg import pipeline
+from varseg import pipeline, stage2
 from varseg.model import default_schedule
 from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
                              PipelineError, data_scale,
@@ -18,6 +18,7 @@ from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
                              schedule_for_data, stage1_coverage_check)
 from varseg.simulate import (ScenarioPreset, make_scenario, scenario_preset,
                              simulate)
+from varseg.stage2 import select_breaks
 
 
 SMALL_PRESET = ScenarioPreset(name="small", breaks=(30,), T=60, p=2)
@@ -83,10 +84,33 @@ def test_detect_rejects_bad_input():
             with pytest.raises(PipelineError, match="^input: lag order d") as exc:
                 detect(data, d, given)
             assert exc.value.stage == "input"
-    # -1 would make every block a candidate and NaN none
-    for zero_tol in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="zero_tol must be >= 0"):
-            detect(np.zeros((40, 2)), 1, zero_tol=zero_tol)
+
+
+BAD_SCHEDULES = [("lambda_n", v) for v in (math.nan, math.inf, 0.0, -1.0)] + [
+    (name, v) for name in ("eta_n", "omega_n") for v in (math.nan, math.inf, -5.0)]
+
+
+def test_detect_refuses_bad_schedule(monkeypatch):
+    # a given schedule is input, refused before stage 1 runs; select_breaks
+    # refuses it on its own too
+    rng = np.random.default_rng(2)
+    data = piecewise_series(rng, T=40, p=2, d=1, break_at=20)
+    good = schedule_for_data(data, 1)
+    candidates = detect(data, 1, good).stage1
+    # zero levels are valid
+    detect(data, 1, replace(good, eta_n=0.0, omega_n=0.0))
+    monkeypatch.setattr(pipeline, "build_stage1", None)
+    for name, value in BAD_SCHEDULES:
+        bad = replace(good, **{name: value})
+        with pytest.raises(PipelineError, match="^input: ") as exc:
+            detect(data, 1, bad)
+        assert exc.value.stage == "input"
+        with pytest.raises(ValueError, match="must be finite"):
+            select_breaks(data, candidates, 1, bad)
+    # data whose variance overflows derives no finite schedule
+    with np.errstate(over="ignore"), pytest.raises(PipelineError,
+                                                   match="^input: C must be finite"):
+        detect(1e160 * data, 1)
 
 
 def test_detect_memory_guard_counts_theta(monkeypatch):
@@ -104,13 +128,16 @@ def test_detect_memory_guard_counts_theta(monkeypatch):
     assert detect(data, 2).stage1_estimate.converged
 
 
-def test_detect_labels_stage2_failures():
+def test_detect_labels_stage2_failures(monkeypatch):
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=1, d=1, break_at=20)
-    # stage 1 never reads eta_n; the segment fits refuse it
-    schedule = replace(schedule_for_data(data, 1), eta_n=-1.0)
-    with pytest.raises(PipelineError, match="^stage2:"):
-        detect(data, 1, schedule)
+
+    def failing_fit(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(stage2, "fit_segment", failing_fit)
+    with pytest.raises(PipelineError, match="^stage2: injected"):
+        detect(data, 1)
 
 
 def _assert_identical(a, b, where="result"):

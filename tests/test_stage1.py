@@ -166,9 +166,11 @@ def test_solve_monotone_and_deterministic():
 
 
 def test_solve_rejects_bad_args():
+    # NaN fails no `<= 0` test, so finiteness is checked on its own
     problem = build_stage1(np.zeros((5, 1)), 1)
-    with pytest.raises(ValueError):
-        bcd_solve(problem, 0.0)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="lambda must be finite and positive"):
+            bcd_solve(problem, lam)
 
 
 @settings(max_examples=15)
@@ -325,7 +327,7 @@ def test_solve_prices_each_support_once_in_one_theta():
         solve_peak = tracemalloc.get_traced_memory()[1] - base
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        extract_candidates(est, None, preset.d)
+        extract_candidates(est, preset.d)
         extract_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -399,8 +401,8 @@ def test_kkt_perturbation_names_block():
     target = active[len(active) // 2]
     theta = est.theta.copy()
     theta[target] = theta[target] + 0.1
-    bumped = ThetaEstimate(theta=theta, lambda_used=0.01, iterations=0,
-                           converged=True, objective_trace=())
+    bumped = ThetaEstimate(theta=theta, iterations=0, converged=True,
+                           objective_trace=())
     report = kkt_check(problem, bumped, 0.01, tol_kkt=1e-3)
     assert not report.passed
     assert report.active_residuals[target + 1] > 1e-3 * report.threshold
@@ -409,14 +411,14 @@ def test_kkt_perturbation_names_block():
 # ------------------------------------------------------- extract_candidates
 
 def _estimate_from_theta(theta):
-    return ThetaEstimate(theta=theta, lambda_used=0.1, iterations=1,
-                         converged=True, objective_trace=())
+    return ThetaEstimate(theta=theta, iterations=1, converged=True,
+                         objective_trace=())
 
 
 def test_extract_no_increments():
     theta = np.zeros((50, 1, 1))
     theta[0] = 0.7
-    cands = extract_candidates(_estimate_from_theta(theta), None, d=1)
+    cands = extract_candidates(_estimate_from_theta(theta), d=1)
     assert cands.indices == () and cands.m_hat == 0
     assert len(cands.segment_coefficients) == 1
     assert cands.segment_coefficients[0][0, 0] == 0.7
@@ -428,7 +430,7 @@ def test_extract_cumulative_reconstruction():
     theta[0] = 0.6
     theta[98] = -1.0
     theta[198] = 0.9
-    cands = extract_candidates(_estimate_from_theta(theta), None, d=1)
+    cands = extract_candidates(_estimate_from_theta(theta), d=1)
     assert cands.indices == (100, 200)
     levels = [seg[0, 0] for seg in cands.segment_coefficients]
     assert levels == pytest.approx([0.6, -0.4, 0.5])
@@ -439,26 +441,54 @@ def test_extract_time_axis_shift():
     theta = np.zeros((10, 1, 2))
     theta[0] = 0.2
     theta[4, 0, 1] = 0.3     # block 4 -> time 4 + d + 1
-    cands = extract_candidates(_estimate_from_theta(theta), None, d=2)
+    cands = extract_candidates(_estimate_from_theta(theta), d=2)
     assert cands.indices == (7,)
 
 
-def test_extract_zero_tol_infinite():
-    theta = np.zeros((20, 1, 1))
+def test_extract_candidates_are_the_nonzero_increments():
+    # no threshold: one entry of 1e-300 makes a candidate, and a block of
+    # -0.0 is zero
+    theta = np.zeros((20, 2, 2))
     theta[0] = 0.5
-    theta[7] = 3.0
-    cands = extract_candidates(_estimate_from_theta(theta), np.inf, d=1)
-    assert cands.indices == ()
+    theta[5, 1, 0] = 1e-300
+    theta[9] = -0.0
+    cands = extract_candidates(_estimate_from_theta(theta), d=1)
+    assert cands.indices == (7,)
+    assert cands.strengths == (1e-300,)
 
 
-def test_extract_default_tol_scales_with_base():
-    # base block of norm 2e6 lifts the default threshold to 2.0
-    theta = np.zeros((20, 1, 1))
-    theta[0] = 2e6
-    theta[4] = 1.0
-    theta[8] = 3.0
-    cands = extract_candidates(_estimate_from_theta(theta), None, d=1)
-    assert cands.indices == (10,)
+def _solve_with_supports(problem, lam):
+    """bcd_solve, plus each column's final support from its last pricing."""
+    kernel = stage1._column_residual
+    support = {}
+
+    def spy(problem, c, bb, aa, xv):
+        support[c] = (bb.copy(), aa.copy())
+        return kernel(problem, c, bb, aa, xv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage1, "_column_residual", spy)
+        est = bcd_solve(problem, lam)
+    return est, support
+
+
+def test_solve_writes_positive_zero_off_the_support():
+    # the contract that lets candidates be the nonzero increments: on the
+    # oracle gate's instances and eight scenario-1 series, every entry off
+    # a column's final support is +0.0, to the bit
+    preset = scenario_preset(1)
+    instances = [solver_instance(k) for k in range(50)]
+    for seed in range(8):
+        data = simulate(make_scenario(preset, seed))
+        instances.append((build_stage1(data, preset.d),
+                          schedule_for_data(data, preset.d).lambda_n))
+    for k, (problem, lam) in enumerate(instances):
+        est, support = _solve_with_supports(problem, lam)
+        off = np.ones((problem.n - 1, problem.p * problem.d, problem.p), dtype=bool)
+        for c, (bb, aa) in support.items():
+            off[bb, aa, c] = False
+        zeros = np.swapaxes(est.theta, 1, 2)[off]
+        assert zeros.tobytes() == bytes(zeros.nbytes), k
 
 
 @given(st.data())
@@ -469,7 +499,7 @@ def test_extract_properties(data):
     theta[0] = 0.4
     for b in blocks:
         theta[b] = data.draw(st.floats(0.1, 3.0))
-    cands = extract_candidates(_estimate_from_theta(theta), 1e-9, d=1)
+    cands = extract_candidates(_estimate_from_theta(theta), d=1)
     assert cands.m_hat == len(blocks)
     assert list(cands.indices) == sorted(b + 2 for b in blocks)
     assert all(s > 0 for s in cands.strengths)
