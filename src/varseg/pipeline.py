@@ -122,15 +122,14 @@ def detect(data: np.ndarray, d: int,
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
     # one block per equation: stage 1's suffix Grams and cross-products,
-    # (T - d) * q * (q + p) floats, and the solve's theta, (T - d) * q * p more
+    # (T - d) * q * (q + p) floats; the estimate is only its nonzeros
     p, q = X.shape[1], X.shape[1] * d
-    need = 8 * (T - d) * q * (q + 2 * p)
+    need = 8 * (T - d) * q * (q + p)
     have = _physical_memory()
     if need > have:
         raise PipelineError("input", f"stage 1 needs {need / 2**30:.1f} GiB of "
-                                     f"suffix arrays and coefficients, more "
-                                     f"than the {have / 2**30:.1f} GiB of "
-                                     f"physical memory")
+                                     f"suffix arrays, more than the "
+                                     f"{have / 2**30:.1f} GiB of physical memory")
     try:
         if schedule is None:
             schedule = schedule_for_data(X, d)
@@ -139,8 +138,8 @@ def detect(data: np.ndarray, d: int,
         raise PipelineError("input", str(exc)) from None
 
     try:
-        problem = build_stage1(X, d)
-        estimate = bcd_solve(problem, schedule.lambda_n)
+        # unnamed, the problem's suffix arrays are freed before stage 2
+        estimate = bcd_solve(build_stage1(X, d), schedule.lambda_n)
         candidates = extract_candidates(estimate, d)
     except Exception as exc:
         raise PipelineError("stage1", str(exc)) from exc

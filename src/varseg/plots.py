@@ -26,6 +26,8 @@ class PlotBundle:
     heatmaps: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
+        if self.series.ndim != 2 or any(h.ndim != 2 for h in self.heatmaps):
+            raise ValueError("series and heatmaps must be 2-D arrays")
         T = self.series.shape[0]
         for name in ("candidate_markers", "final_markers", "truth_markers"):
             marks = tuple(int(t) for t in getattr(self, name))

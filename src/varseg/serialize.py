@@ -72,6 +72,8 @@ def read_csv(path) -> np.ndarray:
         # headerless: treat the first column as t only if it counts 1..T
         col0 = [ln.split(",")[0].strip() for ln in body]
         has_t = all(_numeric(c) and float(c) == i + 1 for i, c in enumerate(col0))
+    if has_t and ncol == 1:
+        raise DataError("no value columns")
     rows = []
     start = 2 if has_header else 1
     for i, ln in enumerate(body, start=start):
@@ -123,7 +125,11 @@ def model_to_dict(model: SegmentedVarModel) -> dict:
 
 
 def detection_to_dict(result: DetectionResult) -> dict:
-    """Serialized detection output; the penalty levels come from its schedule."""
+    """Serialized detection output; the penalty levels come from its schedule.
+
+    stage1.nonzeros holds the stage-1 estimate as [block, row, column, value]
+    rows, ordered by row, then block, then column (`ThetaEstimate`).
+    """
     estimate, candidates = result.stage1_estimate, result.stage1
     screening, schedule = result.stage2, result.schedule
     return {
@@ -133,9 +139,10 @@ def detection_to_dict(result: DetectionResult) -> dict:
         "stage1": {
             "lambda": float(schedule.lambda_n),
             "converged": estimate.converged,
-            "iterations": estimate.iterations,
             "candidates": list(candidates.indices),
-            "segments": [seg.tolist() for seg in candidates.segment_coefficients],
+            "nonzeros": [[b, row, col, v]
+                         for row, (bb, aa, xv) in enumerate(estimate.support)
+                         for b, col, v in zip(bb.tolist(), aa.tolist(), xv.tolist())],
         },
         "stage2": {
             "breaks": list(screening.chosen_breaks),

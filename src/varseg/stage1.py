@@ -21,7 +21,8 @@ pricing round that finds no violator also certifies the column and gives
 its residual for the objective, so each support is priced once; the KKT
 audit `kkt_check` runs the kernel afresh.  The suffix Gram matrices
 G_b = sum_{l>=b} x_l x_l' over lag rows x_l, and the cross-products, form
-only the pivot systems on the working support.
+only the pivot systems on the working support.  The estimate is sparse by
+design and is returned as its nonzero entries, never as a dense array.
 """
 
 from __future__ import annotations
@@ -55,7 +56,14 @@ class Stage1Problem:
 
 @dataclass(frozen=True, eq=False)
 class ThetaEstimate:
-    theta: np.ndarray          # (n-1, p, p*d), base then one increment per equation
+    """Stage-1 estimate as its nonzero entries, response column by column.
+
+    support[c] = (blocks, coords, values): entry k adds values[k] to column
+    c's lag coefficient coords[k] from block blocks[k] on.  Entries are
+    sorted by (block, coordinate), and every value is nonzero.
+    """
+
+    support: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     iterations: int
     converged: bool
     objective_trace: tuple[float, ...]
@@ -66,8 +74,8 @@ class KktReport:
     """Stationarity audit of a stage-1 estimate at threshold n*lambda/2.
 
     active_residuals maps the 1-based index of each block with a nonzero
-    entry, counted over theta's first axis (1 is the base, b + 1 the
-    increment at time t = b + d + 1), to its worst equality residual.
+    entry (1 is the base, b + 1 the increment at time t = b + d + 1), in
+    increasing order, to its worst equality residual.
     """
 
     active_residuals: dict[int, float]
@@ -78,7 +86,7 @@ class KktReport:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Stage-1 output: candidate break times and implied segment coefficients.
+    """Stage-1 output: candidate break times and their strengths.
 
     indices are on the original time axis (block b >= 1 maps to t = b + d + 1);
     strengths[k] is the max-norm of the increment behind indices[k].
@@ -86,7 +94,6 @@ class CandidateSet:
 
     indices: tuple[int, ...]
     m_hat: int
-    segment_coefficients: tuple[np.ndarray, ...]
     strengths: tuple[float, ...]
 
 
@@ -152,15 +159,6 @@ def _column_residual(problem: Stage1Problem, c: int, bb: np.ndarray,
     return r, grad
 
 
-def _gradients(problem: Stage1Problem, th: np.ndarray) -> np.ndarray:
-    """Coupled gradients c_b - sum_b' G_max(b,b') theta_b' for every block."""
-    grad = np.empty(th.shape)
-    for c in range(problem.p):
-        bb, aa = np.nonzero(th[:, :, c])
-        grad[:, :, c] = _column_residual(problem, c, bb, aa, th[bb, aa, c])[1]
-    return grad
-
-
 _MAX_ROUNDS = 150
 
 
@@ -195,11 +193,11 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     converged=False (and `--strict` exits 3).
 
     perfbench times this function by its name and reads the estimate's
-    fields, as result.json does, so both keep their names: iterations is
-    always 0, and objective_trace holds two entries, the objective at zero
-    (the targets' sum of squares over n) and at the returned theta (the
-    solve's own residual sum of squares over n plus the l1 charge), so
-    neither takes another pass over the rows.
+    fields, so they keep their names: iterations is always 0, and
+    objective_trace holds two entries, the objective at zero (the targets'
+    sum of squares over n) and at the returned estimate (the solve's own
+    residual sum of squares over n plus the l1 charge), so neither takes
+    another pass over the rows.
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
@@ -212,7 +210,7 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     # in another order, and a zero candidate must not beat zero by an ulp
     start = sum(float(t @ t) for t in np.ascontiguousarray(problem.targets.T)) / n
 
-    th = np.zeros((n - 1, q, p))
+    support = []
     converged = True
     sse = l1 = 0.0
     for c in range(p):
@@ -300,14 +298,16 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
             # left by another exit: this support was never priced
             converged = False
             r = _column_residual(problem, c, bb, aa, xv)[0]
-        th[bb, aa, c] = xv
+        nz = xv != 0.0
+        order = np.lexsort((aa[nz], bb[nz]))
+        support.append((bb[nz][order], aa[nz][order], xv[nz][order]))
         sse += float(r @ r)
         l1 += float(np.sum(np.abs(xv)))
     obj = sse / n + lam * l1
     if not (converged or obj < start):
-        th.fill(0.0)
+        support = [tuple(a[:0] for a in column) for column in support]
         obj = start
-    return ThetaEstimate(theta=np.swapaxes(th, 1, 2), iterations=0,
+    return ThetaEstimate(support=tuple(support), iterations=0,
                          converged=converged, objective_trace=(start, obj))
 
 
@@ -322,20 +322,18 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
     gradient, including zero entries inside otherwise-active blocks.
     """
     n = problem.n
-    th = np.swapaxes(estimate.theta, 1, 2)
     kappa = n * lam / 2.0
 
-    active_residuals: dict[int, float] = {}
+    active = np.zeros(n - 1, dtype=bool)
+    worst = np.full(n - 1, -np.inf)     # per block, over its nonzero entries
     inactive_max = 0.0
-    for b, grad in enumerate(_gradients(problem, th)):
-        nz = th[b] != 0.0
-        if nz.any():
-            resid = np.abs(grad[nz] - kappa * np.sign(th[b][nz]))
-            active_residuals[b + 1] = float(np.max(resid))
-            if (~nz).any():
-                inactive_max = max(inactive_max, float(np.max(np.abs(grad[~nz]))))
-        else:
-            inactive_max = max(inactive_max, float(np.max(np.abs(grad))))
+    for c, (bb, aa, xv) in enumerate(estimate.support):
+        grad = _column_residual(problem, c, bb, aa, xv)[1]
+        active[bb] = True
+        np.maximum.at(worst, bb, np.abs(grad[bb, aa] - kappa * np.sign(xv)))
+        grad[bb, aa] = 0.0
+        inactive_max = max(inactive_max, float(np.max(np.abs(grad))))
+    active_residuals = {int(b) + 1: float(worst[b]) for b in np.flatnonzero(active)}
     passed = all(v <= tol_kkt * kappa for v in active_residuals.values()) \
         and inactive_max <= kappa * (1.0 + tol_kkt)
     return KktReport(active_residuals=active_residuals,
@@ -343,31 +341,22 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
 
 
 def extract_candidates(estimate: ThetaEstimate, d: int) -> CandidateSet:
-    """Read off candidate break times and cumulative segment coefficients.
+    """Read off candidate break times and their strengths, in O(support).
 
     Increment block b >= 1 (0-based) with a nonzero entry becomes candidate
-    time t = b + d + 1, the time of equation b's response.  The solve
-    writes +0.0 off each column's support, so no threshold is needed; a
-    block of -0.0 has max-norm 0 and is no candidate.  Segment k+1
-    coefficients are the cumulative sum of all increments up to and
-    including the k-th candidate block.
+    time t = b + d + 1, the time of equation b's response, and its strength
+    is the block's max-norm.  The support lists nonzero entries only, so no
+    threshold is needed; an entry of -0.0 has max-norm 0 and makes no
+    candidate.
     """
-    th = estimate.theta
-    n = th.shape[0]
-    # max-norm per block without a dense |theta| copy
-    mags = np.maximum(th.max(axis=(1, 2)), -th.min(axis=(1, 2)))
-    blocks = [b for b in range(1, n) if mags[b] > 0.0]
-
-    segments = [th[0].copy()]
-    cum = th[0].copy()
-    prev = 0
-    for b in blocks:
-        cum = cum + th[prev + 1:b + 1].sum(axis=0)
-        segments.append(cum.copy())
-        prev = b
+    bb = np.concatenate([blocks for blocks, _, _ in estimate.support])
+    mag = np.abs(np.concatenate([values for _, _, values in estimate.support]))
+    order = np.argsort(bb, kind="stable")
+    blocks, first = np.unique(bb[order], return_index=True)
+    mags = np.maximum.reduceat(mag[order], first)
+    keep = (blocks >= 1) & (mags > 0.0)
     return CandidateSet(
-        indices=tuple(b + d + 1 for b in blocks),
-        m_hat=len(blocks),
-        segment_coefficients=tuple(segments),
-        strengths=tuple(float(mags[b]) for b in blocks),
+        indices=tuple(int(b) + d + 1 for b in blocks[keep]),
+        m_hat=int(keep.sum()),
+        strengths=tuple(float(m) for m in mags[keep]),
     )

@@ -42,6 +42,27 @@ def folded_objective(problem, th, lam):
     return prox_objective(problem, np.insert(th, 1, 0.0, axis=0), lam)
 
 
+def dense_theta(problem, estimate):
+    """The estimate as a dense (n-1, p*d, p) array, solver orientation."""
+    th = np.zeros((problem.n - 1, problem.p * problem.d, problem.p))
+    for c, (bb, aa, xv) in enumerate(estimate.support):
+        th[bb, aa, c] = xv
+    return th
+
+
+def sparse_support(th):
+    """ThetaEstimate.support of a dense th in solver orientation.
+
+    np.nonzero lists each column's entries by (block, coordinate), the
+    order the solve returns them in.
+    """
+    support = []
+    for c in range(th.shape[2]):
+        bb, aa = np.nonzero(th[:, :, c])
+        support.append((bb, aa, th[bb, aa, c]))
+    return tuple(support)
+
+
 def piecewise_series(rng, T, p, d, break_at):
     """Small piecewise VAR draw for solver tests; lag-1 block kept stable."""
     def coef():

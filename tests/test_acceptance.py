@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from conftest import assert_monotone
+from conftest import assert_monotone, dense_theta, sparse_support
 from prox_oracle import prox_gradient_solve
 from search_oracle import best_subset
 from varseg.cli import main
@@ -102,10 +102,10 @@ def test_07_stationarity_audit(solver_instances, s1_detections, capsys):
         checked += 1
         clean &= kkt_check(problem, est, lam, tol_kkt=1e-3).passed
     for problem, lam, est in instances[:10]:
-        th = est.theta.copy()
+        th = dense_theta(problem, est)
         block = int(np.argmax(np.abs(th).reshape(th.shape[0], -1).max(axis=1)))
         th[block, 0, 0] += 0.1
-        pert = dataclasses.replace(est, theta=th)
+        pert = dataclasses.replace(est, support=sparse_support(th))
         if not kkt_check(problem, pert, lam, tol_kkt=1e-3).passed:
             t_fail += 1
     ok = clean and checked >= 45 and t_fail == 10

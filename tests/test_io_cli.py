@@ -82,6 +82,8 @@ def test_csv_empty_inputs(tmp_path):
         read_csv(_write(tmp_path / "a.csv", ""))
     with pytest.raises(DataError, match="no data rows"):
         read_csv(_write(tmp_path / "b.csv", "t,y1\n"))
+    with pytest.raises(DataError, match="no value columns"):
+        read_csv(_write(tmp_path / "c.csv", "t\n1\n2\n3\n"))
 
 
 def test_ingest_difference(tmp_path):
@@ -213,6 +215,31 @@ def test_cli_detect_artifacts(small_csv, tmp_path, capsys):
     assert len(bundle["series"]) == 80
     assert bundle["final_markers"] == doc["final_breaks"]
     ET.parse(out / "plot.svg")
+
+
+def test_result_json_stage1_nonzeros_round_trip(small_csv, tmp_path):
+    # stage1.nonzeros rebuilds the estimate: the same entries, bit for bit,
+    # the same candidates, and a passing stationarity audit
+    out = tmp_path / "det"
+    assert main(["detect", "--input", str(small_csv), "--out", str(out)]) == 0
+    doc = load_json(out / "result.json")["stage1"]
+    data = read_csv(small_csv)
+    p = data.shape[1]
+    support = []
+    for row in range(p):
+        entries = [e for e in doc["nonzeros"] if e[1] == row]
+        support.append((np.array([e[0] for e in entries], dtype=np.intp),
+                        np.array([e[2] for e in entries], dtype=np.intp),
+                        np.array([e[3] for e in entries], dtype=float)))
+    est = stage1.ThetaEstimate(support=tuple(support), iterations=0,
+                               converged=doc["converged"], objective_trace=())
+    assert doc["candidates"]
+    want = pipeline.detect(data, 1).stage1_estimate.support
+    for got_col, want_col in zip(est.support, want):
+        for got, ref in zip(got_col, want_col):
+            assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes())
+    assert list(stage1.extract_candidates(est, 1).indices) == doc["candidates"]
+    assert stage1.kkt_check(stage1.build_stage1(data, 1), est, doc["lambda"]).passed
 
 
 def test_cli_detect_writes_nothing_to_stderr(small_csv, tmp_path):
@@ -374,12 +401,18 @@ def test_cli_plot_rerenders_bundle(small_csv, tmp_path):
     assert (rep / "plot.svg").read_bytes() == (det / "plot.svg").read_bytes()
 
 
-def test_cli_plot_rejects_malformed_bundle(tmp_path):
+def test_cli_plot_rejects_malformed_bundle(tmp_path, capsys):
     bad = tmp_path / "bundle.json"
     dump_json(bad, {"series": [[0.0], [1.0]], "final_markers": [99]})
     assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
     dump_json(bad, {"wrong": 1})
     assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+    # 1-D arrays where 2-D ones belong
+    for doc in ({"series": [0.0, 1.0, 2.0]},
+                {"series": [[0.0], [1.0]], "heatmaps": [[0.5, -0.5]]}):
+        dump_json(bad, doc)
+        assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "malformed plot bundle" in capsys.readouterr().err
 
 
 def test_cli_evaluate_artifacts_and_flag_precedence(tmp_path):
@@ -483,6 +516,9 @@ def test_cli_exit_codes(tmp_path):
                  "--out", out]) == 2
     bad = _write(tmp_path / "bad.csv", "t,y1\n1,oops\n")
     assert main(["detect", "--input", str(bad), "--out", out]) == 2
+    no_values = _write(tmp_path / "t_only.csv",
+                       "t\n" + "".join(f"{t}\n" for t in range(1, 41)))
+    assert main(["detect", "--input", str(no_values), "--out", out]) == 2
     assert main(["frobnicate"]) == 1                              # parser error
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -113,19 +114,42 @@ def test_detect_refuses_bad_schedule(monkeypatch):
         detect(1e160 * data, 1)
 
 
-def test_detect_memory_guard_counts_theta(monkeypatch):
-    # one block per equation, m = T - d blocks: the suffix arrays alone take
-    # 8*m*q*(q+p) bytes and the solve's theta 8*m*q*p more, so memory that
-    # only fits the suffix arrays is refused
+def test_detect_memory_guard_counts_suffix_arrays(monkeypatch):
+    # one block per equation, m = T - d blocks: the suffix arrays take
+    # 8*m*q*(q+p) bytes, and the estimate is only its nonzero entries, so
+    # memory that just fits the suffix arrays is enough
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=2, d=2, break_at=20)
     m, p, q = 38, 2, 4
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + p))
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + p) - 1)
     with pytest.raises(PipelineError, match="physical memory") as exc:
         detect(data, 2)
     assert exc.value.stage == "input"
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + 2 * p))
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + p))
     assert detect(data, 2).stage1_estimate.converged
+
+
+def test_detect_frees_the_stage1_problem_before_stage2(monkeypatch):
+    # the suffix arrays are stage 1's largest arrays; nothing may hold them
+    # while stage 2 runs
+    rng = np.random.default_rng(2)
+    data = piecewise_series(rng, T=40, p=2, d=1, break_at=20)
+    refs, alive = [], []
+
+    def build(*args):
+        problem = real_build(*args)
+        refs.append(weakref.ref(problem))
+        return problem
+
+    def select(*args):
+        alive.append(refs[0]() is not None)
+        return real_select(*args)
+
+    real_build, real_select = pipeline.build_stage1, pipeline.select_breaks
+    monkeypatch.setattr(pipeline, "build_stage1", build)
+    monkeypatch.setattr(pipeline, "select_breaks", select)
+    detect(data, 1)
+    assert alive == [False]
 
 
 def test_detect_labels_stage2_failures(monkeypatch):

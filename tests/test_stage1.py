@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import (assert_monotone, folded_objective, piecewise_series,
-                      solver_instance)
+from conftest import (assert_monotone, dense_theta, folded_objective,
+                      piecewise_series, solver_instance, sparse_support)
 from gradient_oracle import suffix_gradients
 from prox_oracle import prox_gradient_solve, prox_objective
 from varseg import stage1
 from varseg.pipeline import schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
-from varseg.stage1 import (ThetaEstimate, _gradients, bcd_solve, build_stage1,
+from varseg.stage1 import (ThetaEstimate, bcd_solve, build_stage1,
                            extract_candidates, kkt_check)
 
 finite_series = arrays(
@@ -104,7 +104,9 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
     a, c = rng.integers(q), rng.integers(p)
     th[0, a, c], th[1, a, c] = 0.7, -0.4
     want = suffix_gradients(problem, th)
-    got = _gradients(problem, th)
+    got = np.empty_like(th)
+    for c, (bb, aa, xv) in enumerate(sparse_support(th)):
+        got[:, :, c] = stage1._column_residual(problem, c, bb, aa, xv)[1]
     col_l1 = float(np.max(np.sum(np.abs(th), axis=(0, 1))))
     scale = (float(np.max(np.abs(problem.suffix_cross)))
              + float(np.max(np.abs(problem.suffix_gram))) * col_l1)
@@ -113,11 +115,15 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
 
 # --------------------------------------------------------------- bcd_solve
 
+def _nnz(est):
+    return sum(xv.size for _, _, xv in est.support)
+
+
 def _assert_trace_matches_oracle(problem, est, lam):
     """objective_trace is the oracle's objective at zero and at the estimate."""
     n, q, p = problem.n, problem.p * problem.d, problem.p
     zero = prox_objective(problem, np.zeros((n, q, p)), lam)
-    end = folded_objective(problem, np.swapaxes(est.theta, 1, 2), lam)
+    end = folded_objective(problem, dense_theta(problem, est), lam)
     assert est.objective_trace == pytest.approx((zero, end), rel=1e-12)
 
 
@@ -127,7 +133,7 @@ def test_solve_overwhelming_penalty():
     problem = build_stage1(data, 1)
     est = bcd_solve(problem, lam=1e6)
     assert est.converged
-    assert not est.theta.any()
+    assert _nnz(est) == 0
     expect = float(np.sum(problem.targets ** 2)) / problem.n
     assert est.objective_trace[-1] == pytest.approx(expect, rel=1e-12)
 
@@ -161,7 +167,7 @@ def test_solve_monotone_and_deterministic():
     a = bcd_solve(problem, 0.05)
     b = bcd_solve(problem, 0.05)
     assert_monotone(a.objective_trace)
-    np.testing.assert_array_equal(a.theta, b.theta)
+    np.testing.assert_array_equal(dense_theta(problem, a), dense_theta(problem, b))
     assert a.objective_trace == b.objective_trace
 
 
@@ -192,12 +198,12 @@ def _refine_from_zero(problem, lam):
     """(certified, objective) of the active-set solve from zero.
 
     The objective is the solve's own residual sum of squares and l1 charge,
-    checked against the oracle's objective at the returned theta.
+    checked against the oracle's objective at the returned estimate.
     """
     est = bcd_solve(problem, lam)
     got = est.objective_trace[-1]
-    th = np.swapaxes(est.theta, 1, 2)
-    assert got == pytest.approx(folded_objective(problem, th, lam), rel=1e-12)
+    assert got == pytest.approx(folded_objective(problem, dense_theta(problem, est), lam),
+                                rel=1e-12)
     return est.converged, got
 
 
@@ -273,14 +279,14 @@ def test_solve_adopts_uncertified_candidate(monkeypatch):
     # three rounds leave a partial support: it lowers the objective, so it
     # is returned, but without a certificate it is not converged
     est = _round_capped_solve(monkeypatch, 3)
-    assert est.theta.any()
+    assert _nnz(est) > 0
     assert est.objective_trace[1] < est.objective_trace[0]
 
 
 def test_solve_reports_uncertified_zero(monkeypatch):
     # one round only admits an entry at zero: nothing beats the start
     est = _round_capped_solve(monkeypatch, 1)
-    assert not est.theta.any()
+    assert _nnz(est) == 0
     assert est.objective_trace[1] == est.objective_trace[0]
 
 
@@ -297,7 +303,7 @@ def test_cold_solve_certifies_without_sweeps():
     assert kkt_check(problem, est, lam).passed
 
 
-def test_solve_prices_each_support_once_in_one_theta():
+def test_solve_prices_each_support_once_without_a_dense_theta():
     # every kernel call prices a (column, support) the solve has not priced
     # before: the objective and the certificate reuse the last pricing
     # round, with supports compared as sets since pivots reorder entries
@@ -317,9 +323,9 @@ def test_solve_prices_each_support_once_in_one_theta():
         assert bcd_solve(problem, lam).converged
     assert len(priced) == len(set(priced))
 
-    # the returned theta is the only dense array the solve keeps, and
-    # reading off candidates makes no dense copy of it
-    theta_bytes = 8 * (problem.n - 1) * problem.p * problem.d * problem.p
+    # the solve holds a few arrays of one column's size, never one of
+    # theta's, and reading off candidates costs memory in the support only
+    column_bytes = 8 * (problem.n - 1) * problem.p * problem.d
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -331,8 +337,8 @@ def test_solve_prices_each_support_once_in_one_theta():
         extract_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert solve_peak <= 1.5 * theta_bytes
-    assert extract_peak <= 0.5 * theta_bytes
+    assert solve_peak <= 8 * column_bytes < problem.p * column_bytes
+    assert extract_peak <= 256 * sum(xv.size for _, _, xv in est.support)
 
 
 def _scenario_1_seed_0():
@@ -383,7 +389,7 @@ def test_kkt_inactive_max_is_worst_zero_entry():
     problem, lam = solver_instance(0)
     est = bcd_solve(problem, lam)
     report = kkt_check(problem, est, lam)
-    th = np.swapaxes(est.theta, 1, 2)
+    th = dense_theta(problem, est)
     zero_grads = np.abs(suffix_gradients(problem, th)[th == 0.0])
     assert report.inactive_max == pytest.approx(float(np.max(zero_grads)), rel=1e-12)
     assert report.inactive_max < 0.99 * report.threshold
@@ -397,12 +403,12 @@ def test_kkt_perturbation_names_block():
     assert est.converged
     assert kkt_check(problem, est, 0.01, tol_kkt=1e-3).passed
 
-    active = [b for b, block in enumerate(est.theta) if block.any()]
+    th = dense_theta(problem, est)
+    active = [b for b, block in enumerate(th) if block.any()]
     target = active[len(active) // 2]
-    theta = est.theta.copy()
-    theta[target] = theta[target] + 0.1
-    bumped = ThetaEstimate(theta=theta, iterations=0, converged=True,
-                           objective_trace=())
+    th[target] = th[target] + 0.1
+    bumped = ThetaEstimate(support=sparse_support(th), iterations=0,
+                           converged=True, objective_trace=())
     report = kkt_check(problem, bumped, 0.01, tol_kkt=1e-3)
     assert not report.passed
     assert report.active_residuals[target + 1] > 1e-3 * report.threshold
@@ -410,9 +416,10 @@ def test_kkt_perturbation_names_block():
 
 # ------------------------------------------------------- extract_candidates
 
-def _estimate_from_theta(theta):
-    return ThetaEstimate(theta=theta, iterations=1, converged=True,
-                         objective_trace=())
+def _estimate_from_theta(th):
+    """An estimate of the dense th, solver orientation (block, coordinate, column)."""
+    return ThetaEstimate(support=sparse_support(th), iterations=0,
+                         converged=True, objective_trace=())
 
 
 def test_extract_no_increments():
@@ -420,8 +427,7 @@ def test_extract_no_increments():
     theta[0] = 0.7
     cands = extract_candidates(_estimate_from_theta(theta), d=1)
     assert cands.indices == () and cands.m_hat == 0
-    assert len(cands.segment_coefficients) == 1
-    assert cands.segment_coefficients[0][0, 0] == 0.7
+    assert cands.strengths == ()
 
 
 def test_extract_cumulative_reconstruction():
@@ -430,29 +436,36 @@ def test_extract_cumulative_reconstruction():
     theta[0] = 0.6
     theta[98] = -1.0
     theta[198] = 0.9
-    cands = extract_candidates(_estimate_from_theta(theta), d=1)
+    est = _estimate_from_theta(theta)
+    cands = extract_candidates(est, d=1)
     assert cands.indices == (100, 200)
-    levels = [seg[0, 0] for seg in cands.segment_coefficients]
-    assert levels == pytest.approx([0.6, -0.4, 0.5])
     assert cands.strengths == (1.0, 0.9)
+    # the support runs in block order, so its running sum is the segment
+    # levels
+    blocks, _, values = est.support[0]
+    assert blocks.tolist() == [0, 98, 198]
+    assert np.cumsum(values) == pytest.approx([0.6, -0.4, 0.5])
 
 
 def test_extract_time_axis_shift():
-    theta = np.zeros((10, 1, 2))
+    theta = np.zeros((10, 2, 1))
     theta[0] = 0.2
-    theta[4, 0, 1] = 0.3     # block 4 -> time 4 + d + 1
+    theta[4, 1, 0] = 0.3     # block 4 -> time 4 + d + 1
     cands = extract_candidates(_estimate_from_theta(theta), d=2)
     assert cands.indices == (7,)
 
 
 def test_extract_candidates_are_the_nonzero_increments():
-    # no threshold: one entry of 1e-300 makes a candidate, and a block of
+    # no threshold: one entry of 1e-300 makes a candidate, and an entry of
     # -0.0 is zero
     theta = np.zeros((20, 2, 2))
     theta[0] = 0.5
     theta[5, 1, 0] = 1e-300
-    theta[9] = -0.0
-    cands = extract_candidates(_estimate_from_theta(theta), d=1)
+    est = _estimate_from_theta(theta)
+    negative_zero = (np.array([9]), np.array([1]), np.array([-0.0]))
+    est = ThetaEstimate(support=(est.support[0], negative_zero), iterations=0,
+                        converged=True, objective_trace=())
+    cands = extract_candidates(est, d=1)
     assert cands.indices == (7,)
     assert cands.strengths == (1e-300,)
 
@@ -463,7 +476,7 @@ def _solve_with_supports(problem, lam):
     support = {}
 
     def spy(problem, c, bb, aa, xv):
-        support[c] = (bb.copy(), aa.copy())
+        support[c] = set(zip(bb.tolist(), aa.tolist(), xv.tolist()))
         return kernel(problem, c, bb, aa, xv)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -472,10 +485,11 @@ def _solve_with_supports(problem, lam):
     return est, support
 
 
-def test_solve_writes_positive_zero_off_the_support():
-    # the contract that lets candidates be the nonzero increments: on the
-    # oracle gate's instances and eight scenario-1 series, every entry off
-    # a column's final support is +0.0, to the bit
+def test_solve_returns_canonical_support():
+    # the contract kkt_check, extract_candidates and result.json rely on:
+    # on the oracle gate's instances and eight scenario-1 series, each
+    # column's entries are strictly increasing in (block, coordinate), with
+    # finite nonzero values, and are the entries the solve last priced
     preset = scenario_preset(1)
     instances = [solver_instance(k) for k in range(50)]
     for seed in range(8):
@@ -483,12 +497,18 @@ def test_solve_writes_positive_zero_off_the_support():
         instances.append((build_stage1(data, preset.d),
                           schedule_for_data(data, preset.d).lambda_n))
     for k, (problem, lam) in enumerate(instances):
-        est, support = _solve_with_supports(problem, lam)
-        off = np.ones((problem.n - 1, problem.p * problem.d, problem.p), dtype=bool)
-        for c, (bb, aa) in support.items():
-            off[bb, aa, c] = False
-        zeros = np.swapaxes(est.theta, 1, 2)[off]
-        assert zeros.tobytes() == bytes(zeros.nbytes), k
+        est, priced = _solve_with_supports(problem, lam)
+        assert len(est.support) == problem.p, k
+        for c, (bb, aa, xv) in enumerate(est.support):
+            assert bb.dtype == aa.dtype == np.intp and xv.dtype == float, k
+            assert bb.shape == aa.shape == xv.shape, k
+            key = bb * (problem.p * problem.d) + aa
+            assert np.all(np.diff(key) > 0), k
+            assert np.all(np.isfinite(xv)) and np.all(xv != 0.0), k
+            assert bb.size == 0 or (0 <= bb.min() and bb.max() < problem.n - 1), k
+            if est.converged:
+                want = {e for e in priced[c] if e[2] != 0.0}
+                assert set(zip(bb.tolist(), aa.tolist(), xv.tolist())) == want, k
 
 
 @given(st.data())
@@ -499,12 +519,10 @@ def test_extract_properties(data):
     theta[0] = 0.4
     for b in blocks:
         theta[b] = data.draw(st.floats(0.1, 3.0))
+        theta[b, 1, 0] = -2.0 * theta[b, 0, 0]
     cands = extract_candidates(_estimate_from_theta(theta), d=1)
     assert cands.m_hat == len(blocks)
     assert list(cands.indices) == sorted(b + 2 for b in blocks)
-    assert all(s > 0 for s in cands.strengths)
-    assert len(cands.segment_coefficients) == cands.m_hat + 1
-    # each segment level is the cumulative sum up to its candidate block
-    for k, b in enumerate(sorted(blocks)):
-        np.testing.assert_allclose(cands.segment_coefficients[k + 1],
-                                   theta[:b + 1].sum(axis=0), atol=1e-12)
+    # each strength is its block's max-norm
+    assert cands.strengths == tuple(float(np.max(np.abs(theta[b])))
+                                    for b in sorted(blocks))

@@ -27,8 +27,7 @@ def candidate_set(times, strengths=None):
     times = tuple(times)
     if strengths is None:
         strengths = tuple(1.0 for _ in times)
-    return CandidateSet(indices=times, m_hat=len(times),
-                        segment_coefficients=(), strengths=tuple(strengths))
+    return CandidateSet(indices=times, m_hat=len(times), strengths=tuple(strengths))
 
 
 def oracle(data, times, schedule, d=1):
