@@ -1,6 +1,6 @@
 """Command-line front end: simulate / detect / evaluate / plot.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 malformed data,
+Exit codes: 0 success, 1 usage error, 2 malformed data,
 3 solver non-convergence under --strict.
 """
 
@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import get_args, get_type_hints
 
 from . import plots, serialize
 from .model import validate_model
@@ -21,76 +19,9 @@ from .simulate import make_scenario, scenario_preset, simulate
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NOCONV = 0, 1, 2, 3
 
 
-class UsageError(ValueError):
-    pass
-
-
-@dataclass
-class RunConfig:
-    """Merged run options; precedence is flag > config file > default."""
-
-    input: str | None = None
-    out: str | None = None
-    d: int = 1
-    lambda_c: float | None = None
-    eta: float | None = None
-    omega_v: float | None = None    # None: the default exponent 0.5
-    seed: int = 0
-    replicates: int = 20
-    scenario: int = 1
-    difference: bool = False
-    downsample: int = 1
-    center: bool = False
-    jobs: int = 1
-    strict: bool = False
-
-
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
-    if args.config is not None:
-        doc = serialize.load_json(args.config)
-        if not isinstance(doc, dict):
-            raise UsageError("config file must hold a JSON object")
-        unknown = set(doc) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, val in doc.items():
-            _check_config_value(key, val)
-            setattr(cfg, key, val)
-    for name in known:
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    return cfg
-
-
-def _check_config_value(name: str, val) -> None:
-    """Reject a config-file value that does not fit its RunConfig field.
-
-    An int passes for a float field, a bool only for a bool field, and
-    null only where the field defaults to None.
-    """
-    hint = get_type_hints(RunConfig)[name]
-    kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
-    if val is None:
-        ok = getattr(RunConfig, name) is None
-    elif isinstance(val, bool):
-        ok = kind is bool
-    else:
-        ok = isinstance(val, (int, float) if kind is float else kind)
-    if not ok:
-        raise UsageError(f"config key {name!r} needs {kind.__name__}, got {val!r}")
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON file with RunConfig fields")
-    sp.add_argument("--out", help="output directory")
-
-
 def _add_scenario(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--scenario", type=int, choices=(1, 2, 3))
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--scenario", type=int, choices=(1, 2, 3), default=1)
+    sp.add_argument("--seed", type=int, default=0)
 
 
 def _add_penalties(sp: argparse.ArgumentParser) -> None:
@@ -98,7 +29,8 @@ def _add_penalties(sp: argparse.ArgumentParser) -> None:
                     help="override the stage-1 penalty constant C")
     sp.add_argument("--eta", type=float, help="override the stage-2 level eta_n")
     sp.add_argument("--omega-v", dest="omega_v", type=float,
-                    help="exponent v in the break charge omega_n")
+                    help="exponent v in the break charge omega_n "
+                         "(default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,59 +40,52 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="generate a benchmark scenario")
-    _add_common(sp)
+    sp.add_argument("--out", required=True, help="output directory")
     _add_scenario(sp)
 
     sp = sub.add_parser("detect", help="detect breaks in a CSV series")
-    _add_common(sp)
-    sp.add_argument("--input", help="input series CSV")
-    sp.add_argument("--d", type=int, help="lag order")
+    sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--input", required=True, help="input series CSV")
+    sp.add_argument("--d", type=int, default=1, help="lag order")
     _add_penalties(sp)
-    sp.add_argument("--difference", action="store_true", default=None,
-                    help="first-difference the series after downsampling")
-    sp.add_argument("--downsample", type=int, help="keep every k-th row")
-    sp.add_argument("--center", action="store_true", default=None,
-                    help="subtract column means")
-    sp.add_argument("--strict", action="store_true", default=None,
+    sp.add_argument("--strict", action="store_true",
                     help="exit 3 when the stage-1 solver or a fit of the "
                          "returned segmentation fails to converge (it is "
                          "reported on stderr either way)")
 
     sp = sub.add_parser("evaluate", help="replicate study on a scenario")
-    _add_common(sp)
+    sp.add_argument("--out", required=True, help="output directory")
     _add_scenario(sp)
-    sp.add_argument("--replicates", type=int)
-    sp.add_argument("--jobs", type=int, help="parallel workers")
+    sp.add_argument("--replicates", type=int, default=20)
+    sp.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_penalties(sp)
-    sp.add_argument("--strict", action="store_true", default=None,
+    sp.add_argument("--strict", action="store_true",
                     help="exit 3 when a replicate fails, or its stage-1 solver "
                          "or a fit of its returned segmentation fails to "
                          "converge (it is reported on stderr either way)")
 
     sp = sub.add_parser("plot", help="render a saved plot bundle to SVG")
-    _add_common(sp)
-    sp.add_argument("--input", help="plot bundle JSON")
+    sp.add_argument("--out", required=True, help="output directory")
+    sp.add_argument("--input", required=True, help="plot bundle JSON")
     return ap
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    if cfg.out is None:
-        raise UsageError("--out is required")
-    out = Path(cfg.out)
+def _outdir(args: argparse.Namespace) -> Path:
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _schedule(data, d: int, cfg: RunConfig):
+def _schedule(data, d: int, args: argparse.Namespace):
     """schedule_for_data with the run's overrides; 0.5 is the default v."""
-    return schedule_for_data(data, d, lambda_c=cfg.lambda_c, eta=cfg.eta,
-                             v=0.5 if cfg.omega_v is None else cfg.omega_v)
+    return schedule_for_data(data, d, lambda_c=args.lambda_c, eta=args.eta,
+                             v=0.5 if args.omega_v is None else args.omega_v)
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    preset = scenario_preset(cfg.scenario)
-    config = make_scenario(preset, cfg.seed)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    preset = scenario_preset(args.scenario)
+    config = make_scenario(preset, args.seed)
     report = validate_model(config.model)
     if not report.ok:
         raise DataError("; ".join(report.messages()))
@@ -170,14 +95,11 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_detect(cfg: RunConfig) -> int:
-    if cfg.input is None:
-        raise UsageError("--input is required")
-    out = _outdir(cfg)
-    data = serialize.ingest_csv(cfg.input, downsample=cfg.downsample,
-                                difference=cfg.difference, center=cfg.center)
-    schedule = _schedule(data, cfg.d, cfg)
-    result = detect(data, cfg.d, schedule)
+def _cmd_detect(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    data = serialize.ingest_csv(args.input)
+    schedule = _schedule(data, args.d, args)
+    result = detect(data, args.d, schedule)
     serialize.dump_json(out / "result.json", serialize.detection_to_dict(result))
     bundle = plots.make_plot_bundle(data, result)
     serialize.dump_json(out / "plot_bundle.json", plots.bundle_to_dict(bundle))
@@ -191,20 +113,20 @@ def _cmd_detect(cfg: RunConfig) -> int:
     if not all(f.converged for f in result.stage2.fits):
         print("stage-2 segment fit did not converge", file=sys.stderr)
         failed = True
-    return EXIT_NOCONV if cfg.strict and failed else EXIT_OK
+    return EXIT_NOCONV if args.strict and failed else EXIT_OK
 
 
-def _cmd_evaluate(cfg: RunConfig) -> int:
-    out = _outdir(cfg)
-    preset = scenario_preset(cfg.scenario)
+def _cmd_evaluate(args: argparse.Namespace) -> int:
+    out = _outdir(args)
+    preset = scenario_preset(args.scenario)
     schedule = None
     # any override fixes one schedule for all replicates; without one,
     # each replicate derives its own from its data
-    if any(v is not None for v in (cfg.lambda_c, cfg.eta, cfg.omega_v)):
-        probe = simulate(make_scenario(preset, cfg.seed))
-        schedule = _schedule(probe, preset.d, cfg)
-    summary = run_replicates(preset, cfg.replicates, cfg.seed, schedule,
-                             jobs=cfg.jobs)
+    if any(v is not None for v in (args.lambda_c, args.eta, args.omega_v)):
+        probe = simulate(make_scenario(preset, args.seed))
+        schedule = _schedule(probe, preset.d, args)
+    summary = run_replicates(preset, args.replicates, args.seed, schedule,
+                             jobs=args.jobs)
     serialize.dump_json(out / "summary.json", serialize.summary_to_dict(summary))
     serialize.write_summary_csv(out / "summary.csv", summary)
     for k, t in enumerate(summary.truth):
@@ -223,15 +145,13 @@ def _cmd_evaluate(cfg: RunConfig) -> int:
     for what, count in counts.items():
         if count:
             print(f"{count} of {len(records)} replicates: {what}", file=sys.stderr)
-    return EXIT_NOCONV if cfg.strict and any(counts.values()) else EXIT_OK
+    return EXIT_NOCONV if args.strict and any(counts.values()) else EXIT_OK
 
 
-def _cmd_plot(cfg: RunConfig) -> int:
-    if cfg.input is None:
-        raise UsageError("--input is required")
-    out = _outdir(cfg)
+def _cmd_plot(args: argparse.Namespace) -> int:
+    out = _outdir(args)
     try:
-        bundle = plots.bundle_from_dict(serialize.load_json(cfg.input))
+        bundle = plots.bundle_from_dict(serialize.load_json(args.input))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed plot bundle: {exc}") from exc
     plots.render_svg(bundle, out / "plot.svg")
@@ -253,11 +173,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _COMMANDS[args.command](args)
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

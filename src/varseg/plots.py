@@ -6,6 +6,7 @@ bundles yields identical bytes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,9 @@ import numpy as np
 class PlotBundle:
     """Everything a detection picture needs, as plain data.
 
-    Markers are 1-based times in [1, T]; heatmaps are the per-segment
-    p x (p*d) coefficient estimates.
+    Markers are 1-based integer times in [1, T]; heatmaps are the
+    per-segment p x (p*d) coefficient estimates.  Every array is non-empty
+    and finite.
     """
 
     series: np.ndarray                       # T x p
@@ -26,11 +28,15 @@ class PlotBundle:
     heatmaps: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if self.series.ndim != 2 or any(h.ndim != 2 for h in self.heatmaps):
-            raise ValueError("series and heatmaps must be 2-D arrays")
+        for a in (self.series, *self.heatmaps):
+            if a.ndim != 2 or a.size == 0:
+                raise ValueError("series and heatmaps must be non-empty 2-D arrays")
+            if not np.isfinite(a).all():
+                raise ValueError("series and heatmaps must be finite")
         T = self.series.shape[0]
         for name in ("candidate_markers", "final_markers", "truth_markers"):
-            marks = tuple(int(t) for t in getattr(self, name))
+            # operator.index refuses a float, which int() would truncate
+            marks = tuple(operator.index(t) for t in getattr(self, name))
             if any(not (1 <= t <= T) for t in marks):
                 raise ValueError(f"{name} outside [1, {T}]")
             object.__setattr__(self, name, marks)

@@ -47,9 +47,12 @@ def _parse_row(cells: list[str], row_no: int, ncol: int, has_t: bool) -> list[fl
     return out
 
 
-def read_csv(path) -> np.ndarray:
-    """Read a series matrix; a leading t/index column and header are optional."""
-    with open(path, "r", encoding="utf-8") as fh:
+def ingest_csv(path) -> np.ndarray:
+    """Read a series matrix; a leading t/index column and header are optional.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines:
         raise DataError("empty input file")
@@ -79,27 +82,6 @@ def read_csv(path) -> np.ndarray:
     for i, ln in enumerate(body, start=start):
         rows.append(_parse_row([c.strip() for c in ln.split(",")], i, ncol, has_t))
     return np.asarray(rows, dtype=float)
-
-
-def ingest_csv(path, *, downsample: int = 1, difference: bool = False,
-               center: bool = False) -> np.ndarray:
-    """Load and optionally thin/difference/center a series.
-
-    Downsampling keeps every k-th row starting with the first and happens
-    before differencing; centering subtracts column means last.
-    """
-    X = read_csv(path)
-    if downsample < 1:
-        raise DataError("downsample factor must be >= 1")
-    if downsample > 1:
-        X = X[::downsample]
-    if difference:
-        if X.shape[0] < 2:
-            raise DataError("differencing needs at least 2 rows")
-        X = np.diff(X, axis=0)
-    if center:
-        X = X - X.mean(axis=0)
-    return X
 
 
 # ---------------------------------------------------------------- JSON

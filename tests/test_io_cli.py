@@ -1,7 +1,6 @@
-"""Serialization round trips, preprocessing, SVG output, and the CLI."""
+"""Serialization round trips, CSV ingestion, SVG output, and the CLI."""
 
 import argparse
-import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -19,7 +18,7 @@ from varseg.model import SegmentedVarModel
 from varseg.plots import (PlotBundle, bundle_from_dict, bundle_to_dict,
                           render_svg)
 from varseg.serialize import (DataError, dump_json, ingest_csv, load_json,
-                              model_to_dict, read_csv, write_csv)
+                              model_to_dict, write_csv)
 from varseg.simulate import scenario_preset
 
 
@@ -36,89 +35,64 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     data[3, 1] = 2.0 ** -1040          # subnormal survives too
     path = tmp_path / "x.csv"
     write_csv(path, data)
-    np.testing.assert_array_equal(read_csv(path), data)
+    np.testing.assert_array_equal(ingest_csv(path), data)
 
 
 def test_csv_header_and_t_column(tmp_path):
     path = _write(tmp_path / "x.csv", "t,y1,y2\n1,0.5,1.5\n2,-2,3\n")
-    np.testing.assert_array_equal(read_csv(path), [[0.5, 1.5], [-2.0, 3.0]])
+    np.testing.assert_array_equal(ingest_csv(path), [[0.5, 1.5], [-2.0, 3.0]])
 
 
 def test_csv_header_without_t_column(tmp_path):
     path = _write(tmp_path / "x.csv", "a,b\n1,2\n3,4\n")
-    np.testing.assert_array_equal(read_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(ingest_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_csv_headerless_with_counting_index(tmp_path):
     path = _write(tmp_path / "x.csv", "1,0.5\n2,0.25\n")
-    np.testing.assert_array_equal(read_csv(path), [[0.5], [0.25]])
+    np.testing.assert_array_equal(ingest_csv(path), [[0.5], [0.25]])
 
 
 def test_csv_headerless_without_index(tmp_path):
     # first column does not count 1..T, so it is data
     path = _write(tmp_path / "x.csv", "5.0,0.5\n6.0,0.25\n")
-    np.testing.assert_array_equal(read_csv(path), [[5.0, 0.5], [6.0, 0.25]])
+    np.testing.assert_array_equal(ingest_csv(path), [[5.0, 0.5], [6.0, 0.25]])
 
 
 def test_csv_single_column(tmp_path):
     path = _write(tmp_path / "x.csv", "1\n2\n3\n")
-    np.testing.assert_array_equal(read_csv(path), [[1.0], [2.0], [3.0]])
+    np.testing.assert_array_equal(ingest_csv(path), [[1.0], [2.0], [3.0]])
 
 
 def test_csv_error_positions(tmp_path):
     ragged = _write(tmp_path / "a.csv", "t,y1\n1,2\n3\n")
     with pytest.raises(DataError, match="row 3"):
-        read_csv(ragged)
+        ingest_csv(ragged)
     junk = _write(tmp_path / "b.csv", "t,y1\n1,oops\n")
     with pytest.raises(DataError, match="row 2, column 2"):
-        read_csv(junk)
+        ingest_csv(junk)
     hole = _write(tmp_path / "c.csv", "t,y1\n1,nan\n")
     with pytest.raises(DataError, match="non-finite"):
-        read_csv(hole)
+        ingest_csv(hole)
 
 
 def test_csv_empty_inputs(tmp_path):
     with pytest.raises(DataError, match="empty"):
-        read_csv(_write(tmp_path / "a.csv", ""))
+        ingest_csv(_write(tmp_path / "a.csv", ""))
     with pytest.raises(DataError, match="no data rows"):
-        read_csv(_write(tmp_path / "b.csv", "t,y1\n"))
+        ingest_csv(_write(tmp_path / "b.csv", "t,y1\n"))
     with pytest.raises(DataError, match="no value columns"):
-        read_csv(_write(tmp_path / "c.csv", "t\n1\n2\n3\n"))
+        ingest_csv(_write(tmp_path / "c.csv", "t\n1\n2\n3\n"))
 
 
-def test_ingest_difference(tmp_path):
-    path = tmp_path / "x.csv"
-    write_csv(path, np.array([[1.0], [3.0], [6.0]]))
-    np.testing.assert_array_equal(ingest_csv(path, difference=True),
-                                  [[2.0], [3.0]])
-
-
-def test_ingest_downsample_keeps_first_then_every_kth(tmp_path):
-    path = tmp_path / "x.csv"
-    write_csv(path, np.arange(10.0).reshape(-1, 1))
-    np.testing.assert_array_equal(
-        ingest_csv(path, downsample=2),
-        [[0.0], [2.0], [4.0], [6.0], [8.0]])
-    # downsampling happens before differencing
-    np.testing.assert_array_equal(
-        ingest_csv(path, downsample=2, difference=True),
-        [[2.0], [2.0], [2.0], [2.0]])
-
-
-def test_ingest_center(tmp_path):
-    path = tmp_path / "x.csv"
-    write_csv(path, np.array([[1.0, 10.0], [3.0, 30.0]]))
-    out = ingest_csv(path, center=True)
-    np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-15)
-
-
-def test_ingest_errors(tmp_path):
-    path = tmp_path / "x.csv"
-    write_csv(path, np.array([[1.0], [2.0]]))
-    with pytest.raises(DataError, match="downsample"):
-        ingest_csv(path, downsample=0)
-    with pytest.raises(DataError, match="at least 2 rows"):
-        ingest_csv(path, downsample=2, difference=True)
+def test_csv_byte_order_mark_is_dropped(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a BOM; the file must read
+    # as its BOM-free copy, header detection and the t column included
+    for text in ("t,y1,y2\n1,0.5,1.5\n2,-2,3\n", "1,0.5\n2,0.25\n"):
+        plain = _write(tmp_path / "plain.csv", text)
+        bom = _write(tmp_path / "bom.csv", "\ufeff" + text)
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        np.testing.assert_array_equal(ingest_csv(bom), ingest_csv(plain))
 
 
 # ---------------------------------------------------------------- JSON
@@ -223,7 +197,7 @@ def test_result_json_stage1_nonzeros_round_trip(small_csv, tmp_path):
     out = tmp_path / "det"
     assert main(["detect", "--input", str(small_csv), "--out", str(out)]) == 0
     doc = load_json(out / "result.json")["stage1"]
-    data = read_csv(small_csv)
+    data = ingest_csv(small_csv)
     p = data.shape[1]
     support = []
     for row in range(p):
@@ -407,20 +381,27 @@ def test_cli_plot_rejects_malformed_bundle(tmp_path, capsys):
     assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
     dump_json(bad, {"wrong": 1})
     assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
-    # 1-D arrays where 2-D ones belong
-    for doc in ({"series": [0.0, 1.0, 2.0]},
-                {"series": [[0.0], [1.0]], "heatmaps": [[0.5, -0.5]]}):
+    for doc in (
+            # 1-D arrays where 2-D ones belong
+            {"series": [0.0, 1.0, 2.0]},
+            {"series": [[0.0], [1.0]], "heatmaps": [[0.5, -0.5]]},
+            # empty arrays
+            {"series": [[], []]},
+            {"series": [[0.0], [1.0]], "heatmaps": [[[]]]},
+            # non-finite values (json writes them as NaN and Infinity)
+            {"series": [[0.0], [float("nan")]]},
+            {"series": [[0.0], [float("inf")]]},
+            {"series": [[0.0], [1.0]], "heatmaps": [[[float("-inf")]]]},
+            # a marker that is not an integer time
+            {"series": [[0.0], [1.0]], "final_markers": [1.7]}):
         dump_json(bad, doc)
         assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "malformed plot bundle" in capsys.readouterr().err
 
 
-def test_cli_evaluate_artifacts_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    dump_json(cfg, {"replicates": 2, "seed": 11})
+def test_cli_evaluate_artifacts(tmp_path):
     out = tmp_path / "eval"
-    # flag overrides the config file's replicate count
-    assert main(["evaluate", "--config", str(cfg), "--replicates", "3",
+    assert main(["evaluate", "--replicates", "3", "--seed", "11",
                  "--out", str(out)]) == 0
     doc = load_json(out / "summary.json")
     assert doc["n_replicates"] == 3
@@ -432,79 +413,35 @@ def test_cli_evaluate_artifacts_and_flag_precedence(tmp_path):
     assert first[0] == "1" and float(first[1]) == pytest.approx(1 / 3)
 
 
-def test_cli_config_file_is_applied(small_csv, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    dump_json(cfg, {"d": 0})
-    out = str(tmp_path / "o")
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--out", out]) == 1
-    # a flag beats the config file's bad value
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--d", "1", "--out", out]) == 0
-
-
-@pytest.mark.parametrize("doc", [{"d": "1"}, {"downsample": "2"}, {"d": True},
-                                 {"d": None}, {"omega_v": "0.5"},
-                                 {"strategy": "backward"},
-                                 {"exhaustive_cap": 12}],
-                         ids=["str-for-int", "str-downsample", "bool-for-int",
-                              "null-for-int", "str-for-float",
-                              "removed-strategy", "removed-exhaustive-cap"])
-def test_cli_config_file_rejects_bad_values(small_csv, tmp_path, capsys, doc):
-    cfg = tmp_path / "cfg.json"
-    dump_json(cfg, doc)
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("doc", [{"omega_v": 1}, {"lambda_c": None},
-                                 {"eta": 0}, {"center": False}],
-                         ids=["int-for-float", "null-where-default-null",
-                              "int-for-optional-float", "bool"])
-def test_cli_config_file_accepts_fitting_values(small_csv, tmp_path, doc):
-    cfg = tmp_path / "cfg.json"
-    dump_json(cfg, doc)
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 0
-
-
 def test_cli_removed_search_flags_are_usage_errors(small_csv, tmp_path):
     out = str(tmp_path / "o")
     assert main(["detect", "--input", str(small_csv), "--strategy", "backward",
                  "--out", out]) == 1
     assert main(["evaluate", "--exhaustive-cap", "12", "--out", out]) == 1
+    # the config file and the preprocessing flags are gone too
+    for flags in (["--config", str(tmp_path / "x.json")], ["--downsample", "2"],
+                  ["--difference"], ["--center"]):
+        assert main(["detect", "--input", str(small_csv), *flags,
+                     "--out", out]) == 1
 
 
-def test_cli_flags_and_config_keys_agree(small_csv, tmp_path):
-    # every RunConfig field is some subcommand's flag and every flag but
-    # --config a field, so one route cannot set what the other cannot
+def test_cli_options_are_pinned(small_csv, tmp_path):
+    # the parser is the only place options are defined, so a new one
+    # shows up here
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for sp in sub.choices.values() for a in sp._actions
-             if a.option_strings and a.dest not in ("help", "config")}
-    assert dests == {f.name for f in dataclasses.fields(cli.RunConfig)}
-    # the candidate threshold is gone from both
-    out = str(tmp_path / "o")
+    options = {name: {o for a in sp._actions for o in a.option_strings}
+               - {"-h", "--help"} for name, sp in sub.choices.items()}
+    assert options == {
+        "simulate": {"--out", "--scenario", "--seed"},
+        "detect": {"--out", "--input", "--d", "--lambda-c", "--eta",
+                   "--omega-v", "--strict"},
+        "evaluate": {"--out", "--scenario", "--seed", "--replicates", "--jobs",
+                     "--lambda-c", "--eta", "--omega-v", "--strict"},
+        "plot": {"--out", "--input"},
+    }
+    # the candidate threshold is gone
     assert main(["detect", "--input", str(small_csv), "--zero-tol", "0",
-                 "--out", out]) == 1
-    cfg = tmp_path / "cfg.json"
-    dump_json(cfg, {"zero_tol": 0.0})
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--out", out]) == 1
-
-
-def test_cli_config_file_rejects_unknown_keys(small_csv, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    dump_json(cfg, {"lambda": 0.5})
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
-                 "--out", str(tmp_path / "o")]) == 1
-
-
-def test_cli_config_file_must_be_an_object(small_csv, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]\n", encoding="utf-8")
-    assert main(["detect", "--input", str(small_csv), "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 1
 
 
