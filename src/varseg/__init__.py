@@ -1,8 +1,8 @@
 """Two-stage structural break detection for high-dimensional VAR series."""
 
-from .model import (SegmentedVarModel, TuningSchedule, ValidationReport,
+from .model import (SegmentedVarModel, TuningSchedule, check_model,
                     companion_spectral_radius, default_schedule,
-                    effective_sample_size, validate_model)
+                    effective_sample_size)
 from .pipeline import (DetectionResult, ReplicateSummary, detect, hausdorff,
                        run_replicates, schedule_for_data,
                        stage1_coverage_check)
@@ -16,9 +16,8 @@ from .stage2 import (ScreeningResult, SegmentFit, evaluate_subset,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SegmentedVarModel", "TuningSchedule", "ValidationReport",
+    "SegmentedVarModel", "TuningSchedule", "check_model",
     "companion_spectral_radius", "default_schedule", "effective_sample_size",
-    "validate_model",
     "ScenarioPreset", "SimulationConfig", "make_scenario", "scenario_preset",
     "simulate",
     "Stage1Problem", "ThetaEstimate", "KktReport", "CandidateSet",

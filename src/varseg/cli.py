@@ -7,11 +7,11 @@ Exit codes: 0 success, 1 usage error, 2 malformed data,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from . import plots, serialize
-from .model import validate_model
 from .pipeline import PipelineError, detect, run_replicates, schedule_for_data
 from .serialize import DataError
 from .simulate import make_scenario, scenario_preset, simulate
@@ -34,16 +34,19 @@ def _add_penalties(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="varseg",
+    # allow_abbrev=False on every parser (subparsers do not inherit it), so
+    # a flag prefix such as --rep is a usage error, not --replicates
+    ap = argparse.ArgumentParser(prog="varseg", allow_abbrev=False,
                                  description="Structural break detection for "
                                              "high-dimensional VAR series")
     sub = ap.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("simulate", help="generate a benchmark scenario")
+    sp = add_parser("simulate", help="generate a benchmark scenario")
     sp.add_argument("--out", required=True, help="output directory")
     _add_scenario(sp)
 
-    sp = sub.add_parser("detect", help="detect breaks in a CSV series")
+    sp = add_parser("detect", help="detect breaks in a CSV series")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--input", required=True, help="input series CSV")
     sp.add_argument("--d", type=int, default=1, help="lag order")
@@ -53,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "returned segmentation fails to converge (it is "
                          "reported on stderr either way)")
 
-    sp = sub.add_parser("evaluate", help="replicate study on a scenario")
+    sp = add_parser("evaluate", help="replicate study on a scenario")
     sp.add_argument("--out", required=True, help="output directory")
     _add_scenario(sp)
     sp.add_argument("--replicates", type=int, default=20)
@@ -64,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "or a fit of its returned segmentation fails to "
                          "converge (it is reported on stderr either way)")
 
-    sp = sub.add_parser("plot", help="render a saved plot bundle to SVG")
+    sp = add_parser("plot", help="render a saved plot bundle to SVG")
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--input", required=True, help="plot bundle JSON")
     return ap
@@ -84,13 +87,8 @@ def _schedule(data, d: int, args: argparse.Namespace):
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _outdir(args)
-    preset = scenario_preset(args.scenario)
-    config = make_scenario(preset, args.seed)
-    report = validate_model(config.model)
-    if not report.ok:
-        raise DataError("; ".join(report.messages()))
-    data = simulate(config)
-    serialize.write_csv(out / "data.csv", data)
+    config = make_scenario(scenario_preset(args.scenario), args.seed)
+    serialize.write_csv(out / "data.csv", simulate(config))
     serialize.dump_json(out / "model.json", serialize.model_to_dict(config.model))
     return EXIT_OK
 

@@ -47,6 +47,8 @@ class SegmentedVarModel:
         of them.
     noise_cov : ndarray
         p x p innovation covariance, shared across segments.
+
+    A model is built only if it passes `check_model`.
     """
 
     p: int
@@ -62,10 +64,7 @@ class SegmentedVarModel:
         object.__setattr__(self, "segments",
                            tuple(_frozen_array(s) for s in self.segments))
         object.__setattr__(self, "noise_cov", _frozen_array(self.noise_cov))
-
-    @property
-    def m0(self) -> int:
-        return len(self.break_points)
+        check_model(self)
 
 
 @dataclass(frozen=True)
@@ -85,15 +84,6 @@ class TuningSchedule:
     v_exponent: float
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list[tuple[str, str]]
-
-    def messages(self) -> list[str]:
-        return [msg for _, msg in self.issues]
-
-
 def companion_spectral_radius(segment: np.ndarray, p: int, d: int) -> float:
     """Spectral radius of the (p*d) x (p*d) companion matrix of one segment."""
     seg = np.asarray(segment, dtype=float)
@@ -108,60 +98,47 @@ def companion_spectral_radius(segment: np.ndarray, p: int, d: int) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def validate_model(model: SegmentedVarModel) -> ValidationReport:
-    """Collect structural and stationarity issues; never raises on bad input."""
-    issues: list[tuple[str, str]] = []
+def check_model(model: SegmentedVarModel) -> None:
+    """Raise ValueError("invalid model: <reason>") at the first structural
+    or stationarity fault."""
+    def fail(reason: str):
+        raise ValueError(f"invalid model: {reason}")
 
     if model.p < 1 or model.d < 1 or model.T < 1:
-        issues.append(("bad_dims", f"p={model.p}, d={model.d}, T={model.T} "
-                       "must all be positive"))
-        return ValidationReport(False, issues)
+        fail(f"p={model.p}, d={model.d}, T={model.T} must all be positive")
 
     breaks = model.break_points
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
-        issues.append(("breaks_not_increasing", "breaks not increasing"))
+        fail("breaks not increasing")
     for b in breaks:
         if not (model.d < b <= model.T):
-            issues.append(("break_out_of_range",
-                           f"break {b} outside ({model.d}, {model.T}]"))
+            fail(f"break {b} outside ({model.d}, {model.T}]")
 
     if len(model.segments) != len(breaks) + 1:
-        issues.append(("segment_count",
-                       f"{len(model.segments)} segments for {len(breaks)} breaks"))
+        fail(f"{len(model.segments)} segments for {len(breaks)} breaks")
 
     want = (model.p, model.p * model.d)
     for j, seg in enumerate(model.segments, start=1):
         if seg.shape != want:
-            issues.append(("segment_shape",
-                           f"segment {j} has shape {seg.shape}, want {want}"))
-            continue
+            fail(f"segment {j} has shape {seg.shape}, want {want}")
         if not np.all(np.isfinite(seg)):
-            issues.append(("segment_not_finite", f"segment {j} not finite"))
-            continue
+            fail(f"segment {j} not finite")
         rho = companion_spectral_radius(seg, model.p, model.d)
         if rho >= 1.0 - STATIONARITY_TOL:
-            issues.append(("nonstationary_segment",
-                           f"segment {j} nonstationary (spectral radius {rho:.6f})"))
+            fail(f"segment {j} nonstationary (spectral radius {rho:.6f})")
 
     cov = model.noise_cov
     if cov.shape != (model.p, model.p):
-        issues.append(("noise_cov_shape",
-                       f"noise_cov has shape {cov.shape}, want {(model.p, model.p)}"))
-    elif not np.all(np.isfinite(cov)):
-        issues.append(("noise_cov_not_finite", "noise_cov not finite"))
-    else:
-        asym = float(np.max(np.abs(cov - cov.T)))
-        if asym > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
-            issues.append(("noise_cov_not_symmetric",
-                           f"noise_cov asymmetry {asym:.3e}"))
-        else:
-            try:
-                np.linalg.cholesky(0.5 * (cov + cov.T))
-            except np.linalg.LinAlgError:
-                issues.append(("noise_cov_not_positive_definite",
-                               "noise_cov is not positive definite"))
-
-    return ValidationReport(not issues, issues)
+        fail(f"noise_cov has shape {cov.shape}, want {(model.p, model.p)}")
+    if not np.all(np.isfinite(cov)):
+        fail("noise_cov not finite")
+    asym = float(np.max(np.abs(cov - cov.T)))
+    if asym > 1e-12 * max(1.0, float(np.max(np.abs(cov)))):
+        fail(f"noise_cov asymmetry {asym:.3e}")
+    try:
+        np.linalg.cholesky(0.5 * (cov + cov.T))
+    except np.linalg.LinAlgError:
+        fail("noise_cov is not positive definite")
 
 
 def check_eta(eta: float) -> None:

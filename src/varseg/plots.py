@@ -35,8 +35,12 @@ class PlotBundle:
                 raise ValueError("series and heatmaps must be finite")
         T = self.series.shape[0]
         for name in ("candidate_markers", "final_markers", "truth_markers"):
-            # operator.index refuses a float, which int() would truncate
-            marks = tuple(operator.index(t) for t in getattr(self, name))
+            # operator.index refuses a float, which int() would truncate;
+            # it takes a bool as 0 or 1, so bools are refused first
+            marks = getattr(self, name)
+            if any(isinstance(t, bool) for t in marks):
+                raise TypeError(f"{name} must be integers, not booleans")
+            marks = tuple(operator.index(t) for t in marks)
             if any(not (1 <= t <= T) for t in marks):
                 raise ValueError(f"{name} outside [1, {T}]")
             object.__setattr__(self, name, marks)

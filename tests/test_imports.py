@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCANNED = ("src/varseg", "tests", "scripts", "perfbench")
+SCANNED = ("src/varseg", "tests", "perfbench")
 
 
 def unused_imports(source: str) -> list[str]:

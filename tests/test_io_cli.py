@@ -1,7 +1,6 @@
 """Serialization round trips, CSV ingestion, SVG output, and the CLI."""
 
 import argparse
-import importlib.util
 import os
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from varseg.plots import (PlotBundle, bundle_from_dict, bundle_to_dict,
                           render_svg)
 from varseg.serialize import (DataError, dump_json, ingest_csv, load_json,
                               model_to_dict, write_csv)
-from varseg.simulate import scenario_preset
 
 
 def _write(path, text):
@@ -392,8 +390,10 @@ def test_cli_plot_rejects_malformed_bundle(tmp_path, capsys):
             {"series": [[0.0], [float("nan")]]},
             {"series": [[0.0], [float("inf")]]},
             {"series": [[0.0], [1.0]], "heatmaps": [[[float("-inf")]]]},
-            # a marker that is not an integer time
-            {"series": [[0.0], [1.0]], "final_markers": [1.7]}):
+            # markers that are not integer times (json's true is not 1)
+            {"series": [[0.0], [1.0]], "final_markers": [1.7]},
+            {"series": [[0.0], [1.0]], "final_markers": [True]},
+            {"series": [[0.0], [1.0]], "final_markers": [False]}):
         dump_json(bad, doc)
         assert main(["plot", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "malformed plot bundle" in capsys.readouterr().err
@@ -445,6 +445,21 @@ def test_cli_options_are_pinned(small_csv, tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect", "--inp", "{csv}"],
+    ["detect", "--input", "{csv}", "--lambda", "0.5"],
+    ["evaluate", "--rep", "1"],
+    ["evaluate", "--replicates", "1", "--omega", "0.5"],
+    ["simulate", "--sce", "2"],
+], ids=["--inp", "--lambda", "--rep", "--omega", "--sce"])
+def test_cli_flag_prefixes_are_usage_errors(argv, small_csv, tmp_path):
+    # a unique prefix of a flag is not that flag, in every subcommand;
+    # the parser refuses it before any output is written
+    out = tmp_path / "o"
+    assert main([*(a.format(csv=small_csv) for a in argv), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     out = str(tmp_path / "o")
     assert main(["detect", "--out", out]) == 1                    # no --input
@@ -458,16 +473,3 @@ def test_cli_exit_codes(tmp_path):
     assert main(["detect", "--input", str(no_values), "--out", out]) == 2
     assert main(["frobnicate"]) == 1                              # parser error
 
-
-# ------------------------------------------------------------- scripts
-
-def test_run_scenarios_prints_one_row_per_true_break(capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "run_scenarios.py"
-    spec = importlib.util.spec_from_file_location("run_scenarios", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main(["--scenario", "1", "--replicates", "1"]) == 0
-    preset = scenario_preset(1)
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()
-            if line.startswith(preset.name)]
-    assert [int(row[1]) for row in rows] == list(preset.breaks)

@@ -1,4 +1,4 @@
-"""Model types, validation, and the rate-based tuning schedule."""
+"""Model types, the model check, and the rate-based tuning schedule."""
 
 import math
 from dataclasses import replace
@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from varseg.model import (SegmentedVarModel, check_schedule,
+from varseg.model import (SegmentedVarModel, check_model, check_schedule,
                           companion_spectral_radius, default_schedule,
-                          effective_sample_size, validate_model)
+                          effective_sample_size)
 
 # Frozen reference values, computed independently with mpmath at 50 digits.
 LAMBDA_N100_P1_D1_C1 = 0.42919320525786947   # 2*sqrt(log(100)/100)
@@ -96,72 +96,51 @@ def test_companion_radius_shape_error():
 
 
 def test_validate_accepts_zero_model():
-    report = validate_model(banded_model())
-    assert report.ok and not report.issues
-
-
-def test_validate_breaks_not_increasing():
-    model = banded_model(breaks=(200, 100), T=300)
-    report = validate_model(model)
-    assert not report.ok
-    assert any(code == "breaks_not_increasing" for code, _ in report.issues)
-
-
-def test_validate_break_out_of_range():
-    report = validate_model(banded_model(breaks=(1,)))
-    assert any(code == "break_out_of_range" for code, _ in report.issues)
-    report = validate_model(banded_model(breaks=(101,)))
-    assert any(code == "break_out_of_range" for code, _ in report.issues)
-
-
-def test_validate_nonstationary_segment():
-    model = SegmentedVarModel(p=2, d=1, T=100, break_points=(),
-                              segments=(1.1 * np.eye(2),),
-                              noise_cov=np.eye(2))
-    report = validate_model(model)
-    assert not report.ok
-    assert any("segment 1 nonstationary" in msg for msg in report.messages())
-
-
-def test_validate_segment_count_and_shape():
-    model = SegmentedVarModel(p=2, d=1, T=100, break_points=(50,),
-                              segments=(np.zeros((2, 2)),),
-                              noise_cov=np.eye(2))
-    assert any(code == "segment_count"
-               for code, _ in validate_model(model).issues)
-    model = SegmentedVarModel(p=2, d=1, T=100, break_points=(),
-                              segments=(np.zeros((2, 3)),),
-                              noise_cov=np.eye(2))
-    assert any(code == "segment_shape"
-               for code, _ in validate_model(model).issues)
-
-
-def test_validate_noise_cov():
-    bad_sym = SegmentedVarModel(p=2, d=1, T=100, break_points=(),
-                                segments=(np.zeros((2, 2)),),
-                                noise_cov=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    assert any(code == "noise_cov_not_symmetric"
-               for code, _ in validate_model(bad_sym).issues)
-    not_pd = SegmentedVarModel(p=2, d=1, T=100, break_points=(),
-                               segments=(np.zeros((2, 2)),),
-                               noise_cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert any(code == "noise_cov_not_positive_definite"
-               for code, _ in validate_model(not_pd).issues)
-
-
-def test_validate_bad_dims_short_circuits():
-    model = SegmentedVarModel(p=0, d=1, T=100, break_points=(),
-                              segments=(), noise_cov=np.eye(1))
-    report = validate_model(model)
-    assert not report.ok
-    assert report.issues[0][0] == "bad_dims"
+    check_model(banded_model())
 
 
 def test_model_m0_and_immutability():
     model = banded_model(breaks=(30, 60))
-    assert model.m0 == 2
+    assert len(model.break_points) == 2 and len(model.segments) == 3
     with pytest.raises(ValueError):
         model.segments[0][0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.noise_cov[0, 0] = 1.0
+
+
+ZEROS = np.zeros((2, 2))
+
+
+@pytest.mark.parametrize("fields, reason", [
+    (dict(p=0, segments=(), noise_cov=np.eye(1)),
+     r"p=0, d=1, T=100 must all be positive"),
+    (dict(T=300, break_points=(200, 100), segments=(ZEROS,) * 3),
+     r"breaks not increasing"),
+    (dict(break_points=(1,), segments=(ZEROS,) * 2), r"break 1 outside \(1, 100\]"),
+    (dict(break_points=(101,), segments=(ZEROS,) * 2),
+     r"break 101 outside \(1, 100\]"),
+    (dict(break_points=(50,)), r"1 segments for 1 breaks"),
+    (dict(segments=(np.zeros((2, 3)),)),
+     r"segment 1 has shape \(2, 3\), want \(2, 2\)"),
+    (dict(segments=(np.array([[0.0, np.nan], [0.0, 0.0]]),)),
+     r"segment 1 not finite"),
+    (dict(segments=(1.1 * np.eye(2),)),
+     r"segment 1 nonstationary \(spectral radius 1.100000\)"),
+    (dict(noise_cov=np.eye(3)), r"noise_cov has shape \(3, 3\), want \(2, 2\)"),
+    (dict(noise_cov=np.array([[1.0, np.inf], [np.inf, 1.0]])),
+     r"noise_cov not finite"),
+    (dict(noise_cov=np.array([[1.0, 0.5], [0.0, 1.0]])), r"noise_cov asymmetry"),
+    (dict(noise_cov=np.array([[1.0, 2.0], [2.0, 1.0]])),
+     r"noise_cov is not positive definite"),
+], ids=["bad-dims", "breaks-not-increasing", "break-at-d", "break-past-T",
+        "segment-count", "segment-shape", "segment-not-finite",
+        "nonstationary-segment", "noise-cov-shape", "noise-cov-not-finite",
+        "noise-cov-not-symmetric", "noise-cov-not-positive-definite"])
+def test_invalid_model_is_refused_when_built(fields, reason):
+    kwargs = dict(p=2, d=1, T=100, break_points=(), segments=(ZEROS,),
+                  noise_cov=np.eye(2))
+    with pytest.raises(ValueError, match="^invalid model: " + reason):
+        SegmentedVarModel(**{**kwargs, **fields})
 
 
 @given(st.integers(min_value=5, max_value=2000), st.integers(min_value=1, max_value=50),

@@ -22,7 +22,7 @@ from varseg.simulate import (ScenarioPreset, make_scenario, scenario_preset,
 from varseg.stage2 import select_breaks
 
 
-SMALL_PRESET = ScenarioPreset(name="small", breaks=(30,), T=60, p=2)
+SMALL_PRESET = ScenarioPreset(breaks=(30,), T=60, p=2)
 
 
 def test_data_scale_is_mean_column_variance():

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from varseg.model import validate_model
+from varseg.model import SegmentedVarModel
 from varseg.simulate import (ScenarioPreset, SimulationConfig, make_scenario,
                              scenario_preset, simulate)
 
@@ -28,7 +28,6 @@ def test_preset_constants():
 
 def test_make_scenario_banded_segments():
     config = make_scenario(scenario_preset(1), seed=0)
-    assert validate_model(config.model).ok
     segs = config.model.segments
     assert len(segs) == 3
     assert segs[0][0, 0] == 0.6 and segs[1][0, 0] == -0.4 and segs[2][0, 0] == 0.5
@@ -40,7 +39,6 @@ def test_make_scenario_banded_segments():
 
 def test_make_scenario_random_structure():
     config = make_scenario(scenario_preset(3), seed=11)
-    assert validate_model(config.model).ok
     for seg in config.model.segments:
         assert np.all(np.count_nonzero(seg, axis=1) == 2)
         vals = np.abs(seg[seg != 0.0])
@@ -62,7 +60,6 @@ def test_null_preset_single_segment():
     preset = dataclasses.replace(scenario_preset(1), breaks=())
     config = make_scenario(preset, seed=0)
     assert len(config.model.segments) == 1
-    assert validate_model(config.model).ok
     data = simulate(config)
     assert data.shape == (300, 20)
 
@@ -76,7 +73,7 @@ def test_simulate_deterministic():
 
 def test_simulate_white_noise_covariance():
     # all-zero coefficients: rows are i.i.d. noise with the model covariance
-    preset = ScenarioPreset(name="wn", breaks=(), T=10_000, p=2,
+    preset = ScenarioPreset(breaks=(), T=10_000, p=2,
                             noise_scale=1.0, diag_values=(0.0,),
                             band_values=(0.0,))
     data = simulate(make_scenario(preset, seed=0))
@@ -97,9 +94,8 @@ def test_simulate_segment_switch_time():
     # deterministic single-coordinate model: y_t = 0 before the break
     # feeds the post-break coefficient, so the first changed row is t=break
     segs = (np.zeros((1, 1)), np.array([[0.5]]))
-    model_kwargs = dict(p=1, d=1, T=10, break_points=(6,), segments=segs)
-    from varseg.model import SegmentedVarModel
-    model = SegmentedVarModel(noise_cov=np.eye(1), **model_kwargs)
+    model = SegmentedVarModel(p=1, d=1, T=10, break_points=(6,), segments=segs,
+                              noise_cov=np.eye(1))
     data = simulate(SimulationConfig(model=model, seed=2, burn_in=0))
     rng = np.random.default_rng(2)
     eps = rng.standard_normal((10, 1))
@@ -110,12 +106,11 @@ def test_simulate_segment_switch_time():
 
 
 def test_simulate_rejects_invalid_model():
-    from varseg.model import SegmentedVarModel
-    model = SegmentedVarModel(p=1, d=1, T=10, break_points=(20,),
-                              segments=(np.zeros((1, 1)), np.zeros((1, 1))),
-                              noise_cov=np.eye(1))
-    with pytest.raises(ValueError, match="invalid model"):
-        simulate(SimulationConfig(model=model, seed=0))
+    # the model is refused when it is built, before simulate can see it
+    with pytest.raises(ValueError, match=r"invalid model: break 20 outside"):
+        SegmentedVarModel(p=1, d=1, T=10, break_points=(20,),
+                          segments=(np.zeros((1, 1)), np.zeros((1, 1))),
+                          noise_cov=np.eye(1))
 
 
 def test_simulate_rejects_negative_burn_in():
