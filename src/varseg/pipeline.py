@@ -121,14 +121,16 @@ def detect(data: np.ndarray, d: int,
     T = X.shape[0]
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
-    # one block per equation: stage 1's suffix Grams and cross-products,
-    # (T - d) * q * (q + p) floats; the estimate is only its nonzeros
-    p, q = X.shape[1], X.shape[1] * d
-    need = 8 * (T - d) * q * (q + p)
+    # stage 1 holds the lagged rows, (T - d) * q floats, and per response
+    # column a few work arrays of their size and its working columns:
+    # under eight such arrays in all on every perfbench workload.  The
+    # estimate is only its nonzeros
+    q = X.shape[1] * d
+    need = 8 * 8 * (T - d) * q
     have = _physical_memory()
     if need > have:
         raise PipelineError("input", f"stage 1 needs {need / 2**30:.1f} GiB of "
-                                     f"suffix arrays, more than the "
+                                     f"lagged rows and work arrays, more than the "
                                      f"{have / 2**30:.1f} GiB of physical memory")
     try:
         if schedule is None:
@@ -138,7 +140,7 @@ def detect(data: np.ndarray, d: int,
         raise PipelineError("input", str(exc)) from None
 
     try:
-        # unnamed, the problem's suffix arrays are freed before stage 2
+        # unnamed, the problem's lagged rows are freed before stage 2
         estimate = bcd_solve(build_stage1(X, d), schedule.lambda_n)
         candidates = extract_candidates(estimate, d)
     except Exception as exc:

@@ -24,7 +24,6 @@ class PlotBundle:
     series: np.ndarray                       # T x p
     candidate_markers: tuple[int, ...] = ()
     final_markers: tuple[int, ...] = ()
-    truth_markers: tuple[int, ...] = ()
     heatmaps: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
@@ -34,7 +33,7 @@ class PlotBundle:
             if not np.isfinite(a).all():
                 raise ValueError("series and heatmaps must be finite")
         T = self.series.shape[0]
-        for name in ("candidate_markers", "final_markers", "truth_markers"):
+        for name in ("candidate_markers", "final_markers"):
             # operator.index refuses a float, which int() would truncate;
             # it takes a bool as 0 or 1, so bools are refused first
             marks = getattr(self, name)
@@ -60,7 +59,6 @@ def bundle_to_dict(bundle: PlotBundle) -> dict:
         "series": bundle.series.tolist(),
         "candidate_markers": list(bundle.candidate_markers),
         "final_markers": list(bundle.final_markers),
-        "truth_markers": list(bundle.truth_markers),
         "heatmaps": [h.tolist() for h in bundle.heatmaps],
     }
 
@@ -70,7 +68,6 @@ def bundle_from_dict(doc: dict) -> PlotBundle:
         series=np.asarray(doc["series"], dtype=float),
         candidate_markers=tuple(doc.get("candidate_markers", ())),
         final_markers=tuple(doc.get("final_markers", ())),
-        truth_markers=tuple(doc.get("truth_markers", ())),
         heatmaps=tuple(np.asarray(h, dtype=float) for h in doc.get("heatmaps", ())),
     )
 
@@ -120,9 +117,6 @@ def render_svg(bundle: PlotBundle, path) -> None:
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="#4878a8" stroke-opacity="0.35" stroke-width="0.8"/>')
     y0, y1 = _fmt(pad), _fmt(pad + panel_h)
-    for t in bundle.truth_markers:
-        parts.append(f'<line x1="{_fmt(xpix(t))}" x2="{_fmt(xpix(t))}" y1="{y0}" '
-                     f'y2="{y1}" stroke="#222222" stroke-dasharray="1,3"/>')
     for t in bundle.candidate_markers:
         parts.append(f'<line x1="{_fmt(xpix(t))}" x2="{_fmt(xpix(t))}" y1="{y0}" '
                      f'y2="{y1}" stroke="#999999" stroke-dasharray="4,3"/>')

@@ -19,39 +19,60 @@ solve that ends without one is reported as converged=False.  Residuals and
 coupled gradients come from one raw-row kernel, `_column_residual`.  The
 pricing round that finds no violator also certifies the column and gives
 its residual for the objective, so each support is priced once; the KKT
-audit `kkt_check` runs the kernel afresh.  The suffix Gram matrices
-G_b = sum_{l>=b} x_l x_l' over lag rows x_l, and the cross-products, form
-only the pivot systems on the working support.  The estimate is sparse by
-design and is returned as its nonzero entries, never as a dense array.
+audit `kkt_check` runs the kernel afresh.  Each working support keeps its
+masked raw-row columns U and the pivot system's A = U'U and U'y beside
+them, updated by one row and column per admit (as LARS keeps its active
+Gram: Efron, Hastie, Johnstone & Tibshirani, Ann. Statist. 2004), so the
+solve holds O(n * (p*d + k)) bytes for k working entries, never the
+O(n * (p*d)^2) suffix sums.  The estimate is sparse by design and is
+returned as its nonzero entries, never as a dense array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
 class Stage1Problem:
-    """Precomputed sufficient statistics for the stage-1 solve.
+    """The stage-1 regression: lag rows and responses, one row per equation.
 
     n = T - d + 1 is the sample size in the objective and the threshold
     n*lambda/2; there are n - 1 equations and one coefficient block per
-    equation.  suffix_gram[b] and suffix_cross[b] (0-based block b) hold
-    sums over equations b..n-2, the ones block b affects, so block 0, the
-    base, spans all of them.  They form the pivot systems only; residuals,
-    gradients and the objective come from lagged_rows and targets.
-    perfbench reads both suffix arrays by these names to report their size.
+    equation, and block b (0-based) affects equations b..n-2, so block 0,
+    the base, spans all of them.  Residuals, gradients, the objective and
+    the pivot systems all come from lagged_rows and targets.
+
+    suffix_gram[b] = sum_{l>=b} x_l x_l' and suffix_cross[b] = sum_{l>=b}
+    x_l y_l' over lag rows x_l are built on first access, and nothing in
+    the package reads them: they are (n-1) * p*d * (p*d + p) floats, and
+    perfbench reports their size by these names.
     """
 
     n: int
     p: int
     d: int
-    suffix_gram: np.ndarray    # (n-1, p*d, p*d)
-    suffix_cross: np.ndarray   # (n-1, p*d, p)
     lagged_rows: np.ndarray    # (n-1, p*d), row b is equation b
     targets: np.ndarray        # (n-1, p)
+
+    @cached_property
+    def suffix_gram(self) -> np.ndarray:     # (n-1, p*d, p*d)
+        lag = self.lagged_rows
+        return _suffix_sums(lag[:, :, None] * lag[:, None, :])
+
+    @cached_property
+    def suffix_cross(self) -> np.ndarray:    # (n-1, p*d, p)
+        return _suffix_sums(self.lagged_rows[:, :, None] * self.targets[:, None, :])
+
+
+def _suffix_sums(terms: np.ndarray) -> np.ndarray:
+    """Sum terms[b:] into terms[b] for every b, in place from the end."""
+    for b in reversed(range(terms.shape[0] - 1)):
+        terms[b] += terms[b + 1]
+    return terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,11 +129,11 @@ def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
-    """Assemble suffix Grams and cross-products for the stage-1 solve.
+    """Check the data and stack its lag rows and responses for stage 1.
 
-    The suffix sums are accumulated in place in the two returned arrays,
-    so peak memory is one copy of them: (T-d) * (p*d) * (p*d + p) floats,
-    plus the lagged design.
+    The problem holds the lagged design, (T-d) * p*d floats, and a view of
+    the responses; the solve adds work arrays of one response column's
+    size.
     """
     X = np.ascontiguousarray(np.asarray(data, dtype=float))
     if X.ndim != 2:
@@ -126,37 +147,77 @@ def build_stage1(data: np.ndarray, d: int) -> Stage1Problem:
         raise ValueError(f"need T > d, got T={T}, d={d}")
 
     lag, tgt = _lagged_design(X, d)
-    n, q = T - d + 1, p * d
-    sg = np.empty((n - 1, q, q))
-    sc = np.empty((n - 1, q, p))
-    # block b starts at equation b: sum the outer products from the last
-    # equation back
-    np.multiply(lag[:, :, None], lag[:, None, :], out=sg)
-    np.multiply(lag[:, :, None], tgt[:, None, :], out=sc)
-    for b in reversed(range(n - 2)):
-        sg[b] += sg[b + 1]
-        sc[b] += sc[b + 1]
-    return Stage1Problem(n=n, p=p, d=d, suffix_gram=sg, suffix_cross=sc,
-                         lagged_rows=lag, targets=tgt)
+    return Stage1Problem(n=T - d + 1, p=p, d=d, lagged_rows=lag, targets=tgt)
 
 
-def _column_residual(problem: Stage1Problem, c: int, bb: np.ndarray,
-                     aa: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _masked_columns(lag: np.ndarray, bb: np.ndarray, aa: np.ndarray) -> np.ndarray:
+    """U[:, k] = lag[:, aa[k]] zeroed above row bb[k]: entry k's raw-row column."""
+    return lag[:, aa] * (np.arange(lag.shape[0])[:, None] >= bb)
+
+
+def _column_residual(problem: Stage1Problem, c: int, U: np.ndarray,
+                     xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residual and coupled gradient of response column c, from raw rows.
 
-    Entry k adds xv[k] to lag coefficient aa[k] from equation bb[k] on, so
-    the residual is targets[:, c] - U @ xv with U[:, k] =
-    lagged_rows[:, aa[k]] zeroed above row bb[k].  Block b's gradient sums
-    x_l r_l over its rows l >= b: a reverse cumulative sum.  Returns r
-    (n-1,) and the gradient (n-1, p*d); the work is O(n * (p*d + k)) for
-    k entries.
+    Entry k adds xv[k] to a lag coefficient from some equation on, and
+    U[:, k] is its masked raw-row column (`_masked_columns`), so the
+    residual is targets[:, c] - U @ xv.  Block b's gradient sums x_l r_l
+    over its rows l >= b: a reverse cumulative sum.  Returns r (n-1,) and
+    the gradient (n-1, p*d); the work is O(n * (p*d + k)) for k entries.
     """
     lag = problem.lagged_rows
-    rows = np.arange(lag.shape[0])[:, None]
-    r = problem.targets[:, c] - (lag[:, aa] * (rows >= bb)) @ xv
+    r = problem.targets[:, c] - U @ xv
     grad = np.multiply(lag, r[:, None])
     np.cumsum(grad[::-1], axis=0, out=grad[::-1])   # in place, from the end
     return r, grad
+
+
+class _WorkingSupport:
+    """One response column's working support and its pivot system.
+
+    Entry k adds a coefficient to lag coordinate aa[k] from equation bb[k]
+    on, and entered with the gradient sign ss[k].  U[:, k] is its masked
+    raw-row column (`_masked_columns`), held in a buffer that doubles when
+    full.  The pivot system on the support is A = U'U with right-hand side
+    U'y - kappa * ss (`rhs`), for y = targets[:, c], and A and U'y are
+    updated rather than rebuilt: an admit adds one column of U, one row
+    and column of A and one entry of U'y, each a sum over the rows the
+    entry affects, in O(n * k); a drop deletes them.
+    """
+
+    def __init__(self, problem: Stage1Problem, c: int):
+        self.lag, self.y, self.c = problem.lagged_rows, problem.targets[:, c], c
+        self.bb = self.aa = np.empty(0, dtype=np.intp)
+        self.ss = self.uy = np.empty(0)
+        self.A = np.empty((0, 0))
+        self._cols = np.empty((self.lag.shape[0], 8))
+
+    @property
+    def U(self) -> np.ndarray:
+        return self._cols[:, :self.bb.size]
+
+    def rhs(self, kappa: float) -> np.ndarray:
+        return self.uy - kappa * self.ss
+
+    def admit(self, b: int, a: int, sign: float) -> None:
+        k = self.bb.size
+        if k == self._cols.shape[1]:
+            self._cols = np.hstack((self._cols, np.empty_like(self._cols)))
+        col = np.ascontiguousarray(self.lag[b:, a])
+        self._cols[:b, k] = 0.0
+        self._cols[b:, k] = col
+        A = np.empty((k + 1, k + 1))
+        A[:k, :k] = self.A
+        A[k, :k] = A[:k, k] = self._cols[b:, :k].T @ col
+        A[k, k] = col @ col
+        self.A, self.uy = A, np.append(self.uy, col @ self.y[b:])
+        self.bb, self.aa = np.append(self.bb, b), np.append(self.aa, a)
+        self.ss = np.append(self.ss, sign)
+
+    def keep(self, mask: np.ndarray) -> None:
+        self._cols[:, :int(mask.sum())] = self.U[:, mask]
+        self.A, self.uy = self.A[np.ix_(mask, mask)], self.uy[mask]
+        self.bb, self.aa, self.ss = self.bb[mask], self.aa[mask], self.ss[mask]
 
 
 _MAX_ROUNDS = 150
@@ -173,7 +234,8 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     cannot cycle.  On a rank-deficient support whose equalities are
     unattainable the objective is instead reduced along the null space
     until an entry hits zero, which restores attainability.  The working
-    Gram is symmetric PSD, so one symmetric eigendecomposition per pivot
+    Gram, kept up to date over admits and drops by `_WorkingSupport`, is
+    symmetric PSD, so one symmetric eigendecomposition per pivot
     gives the rank test, the pseudo-inverse solve and the null space
     (a support turns singular as its entries approach the equation count:
     30 of 34, 33 of 35 and 40 of 40 on the oracle gate's instances).
@@ -202,7 +264,6 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
     n, p, q = problem.n, problem.p, problem.p * problem.d
-    G, Cc = problem.suffix_gram, problem.suffix_cross
     kappa = n * lam / 2.0
     tol_eq = 1e-6 * kappa
     eps = np.finfo(float).eps
@@ -214,20 +275,19 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     converged = True
     sse = l1 = 0.0
     for c in range(p):
-        bb = aa = np.empty(0, dtype=np.intp)
-        xv = ss = np.empty(0)
+        work = _WorkingSupport(problem, c)
+        xv = np.empty(0)
         banned = np.zeros((n - 1, q), dtype=bool)
         r = None
         for _ in range(_MAX_ROUNDS):
-            if bb.size:
-                A = G[np.maximum(bb[:, None], bb[None, :]), aa[:, None], aa[None, :]]
-                rhs = Cc[bb, aa, c] - kappa * ss
+            if xv.size:
+                A, rhs, ss = work.A, work.rhs(kappa), work.ss
                 try:
                     w, V = np.linalg.eigh(A)
                 except np.linalg.LinAlgError:
                     break
                 aw = np.abs(w)
-                kept = aw > aw.max() * bb.size * eps
+                kept = aw > aw.max() * xv.size * eps
                 Vk = V[:, kept]
                 z = Vk @ ((Vk.T @ rhs) / w[kept])
                 null_rows = V[:, ~kept].T if not kept.all() else None
@@ -268,37 +328,35 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
                         break
                     hit = tcand <= t_star
                     if t_star <= 0.0:
-                        banned[bb[hit], aa[hit]] = True   # degenerate pivot
+                        banned[work.bb[hit], work.aa[hit]] = True   # degenerate pivot
                     else:
                         xv = xv + t_star * step
-                    keep = ~hit
-                    bb, aa, xv, ss = bb[keep], aa[keep], xv[keep], ss[keep]
+                    work.keep(~hit)
+                    xv = xv[~hit]
                     continue
                 xv = z
             # full step, or an empty support: certify the column or admit
             # its worst threshold violator
-            r, grad_col = _column_residual(problem, c, bb, aa, xv)
+            r, grad_col = _column_residual(problem, c, work.U, xv)
             outside = np.abs(grad_col) > kappa + tol_eq
-            outside[bb, aa] = False
+            outside[work.bb, work.aa] = False
             over = outside & ~banned
             if not over.any():
                 # no admit left: certified if the equalities hold and no
                 # banned entry sits outside the band either
                 converged = converged and not outside.any() and not np.any(
-                    np.abs(grad_col[bb, aa] - kappa * ss) > tol_eq)
+                    np.abs(grad_col[work.bb, work.aa] - kappa * work.ss) > tol_eq)
                 break
             r = None
             flat = np.where(over, np.abs(grad_col), -np.inf)
             b_, a_ = np.unravel_index(np.argmax(flat), flat.shape)
-            bb = np.append(bb, b_)
-            aa = np.append(aa, a_)
-            ss = np.append(ss, np.sign(grad_col[b_, a_]))
+            work.admit(b_, a_, np.sign(grad_col[b_, a_]))
             xv = np.append(xv, 0.0)
         if r is None:
             # left by another exit: this support was never priced
             converged = False
-            r = _column_residual(problem, c, bb, aa, xv)[0]
-        nz = xv != 0.0
+            r = _column_residual(problem, c, work.U, xv)[0]
+        bb, aa, nz = work.bb, work.aa, xv != 0.0
         order = np.lexsort((aa[nz], bb[nz]))
         support.append((bb[nz][order], aa[nz][order], xv[nz][order]))
         sse += float(r @ r)
@@ -328,7 +386,8 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
     worst = np.full(n - 1, -np.inf)     # per block, over its nonzero entries
     inactive_max = 0.0
     for c, (bb, aa, xv) in enumerate(estimate.support):
-        grad = _column_residual(problem, c, bb, aa, xv)[1]
+        U = _masked_columns(problem.lagged_rows, bb, aa)
+        grad = _column_residual(problem, c, U, xv)[1]
         active[bb] = True
         np.maximum.at(worst, bb, np.abs(grad[bb, aa] - kappa * np.sign(xv)))
         grad[bb, aa] = 0.0

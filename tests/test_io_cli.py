@@ -128,9 +128,10 @@ def test_plot_bundle_dict_round_trip():
     rng = np.random.default_rng(2)
     bundle = PlotBundle(series=rng.standard_normal((12, 2)),
                         candidate_markers=(3, 7), final_markers=(7,),
-                        truth_markers=(6,),
                         heatmaps=(rng.standard_normal((2, 2)),))
-    back = bundle_from_dict(bundle_to_dict(bundle))
+    doc = bundle_to_dict(bundle)
+    assert sorted(doc) == ["candidate_markers", "final_markers", "heatmaps", "series"]
+    back = bundle_from_dict(doc)
     np.testing.assert_array_equal(back.series, bundle.series)
     assert back.final_markers == (7,)
     np.testing.assert_array_equal(back.heatmaps[0], bundle.heatmaps[0])

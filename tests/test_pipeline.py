@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import piecewise_series
-from varseg import pipeline, stage2
+from varseg import pipeline, stage1, stage2
 from varseg.model import default_schedule
 from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
                              PipelineError, data_scale,
@@ -114,23 +114,39 @@ def test_detect_refuses_bad_schedule(monkeypatch):
         detect(1e160 * data, 1)
 
 
-def test_detect_memory_guard_counts_suffix_arrays(monkeypatch):
-    # one block per equation, m = T - d blocks: the suffix arrays take
-    # 8*m*q*(q+p) bytes, and the estimate is only its nonzero entries, so
-    # memory that just fits the suffix arrays is enough
+def test_detect_memory_guard_counts_stage1_work_arrays(monkeypatch):
+    # one block per equation, m = T - d equations: stage 1 holds the lagged
+    # rows and its work arrays, eight arrays of m*q floats at most, and
+    # the estimate is only its nonzero entries, so memory that just fits
+    # them is enough
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=2, d=2, break_at=20)
-    m, p, q = 38, 2, 4
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + p) - 1)
-    with pytest.raises(PipelineError, match="physical memory") as exc:
+    m, q = 38, 4
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * 8 * m * q - 1)
+    with pytest.raises(PipelineError, match="lagged rows and work arrays") as exc:
         detect(data, 2)
     assert exc.value.stage == "input"
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * m * q * (q + p))
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * 8 * m * q)
     assert detect(data, 2).stage1_estimate.converged
 
 
+def test_detect_never_builds_the_suffix_arrays(monkeypatch):
+    # the suffix arrays, (T - d) * q * (q + p) floats each pair, are built
+    # only on access; nothing in detect may read them
+    rng = np.random.default_rng(2)
+    data = piecewise_series(rng, T=40, p=2, d=1, break_at=20)
+    read = []
+    for name in ("suffix_gram", "suffix_cross"):
+        monkeypatch.setattr(stage1.Stage1Problem, name,
+                            property(lambda problem, name=name: read.append(name)))
+    assert detect(data, 1).stage1_estimate.converged
+    assert read == []
+    stage1.build_stage1(data, 1).suffix_cross
+    assert read == ["suffix_cross"]
+
+
 def test_detect_frees_the_stage1_problem_before_stage2(monkeypatch):
-    # the suffix arrays are stage 1's largest arrays; nothing may hold them
+    # stage 1's lagged rows are its largest arrays; nothing may hold them
     # while stage 2 runs
     rng = np.random.default_rng(2)
     data = piecewise_series(rng, T=40, p=2, d=1, break_at=20)

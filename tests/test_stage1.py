@@ -1,6 +1,7 @@
 """First-stage estimator: design assembly, solver, KKT audit, extraction."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import (assert_monotone, dense_theta, folded_objective,
                       piecewise_series, solver_instance, sparse_support)
-from gradient_oracle import suffix_gradients
+from gradient_oracle import suffix_gradients, suffix_pivot_system
 from prox_oracle import prox_gradient_solve, prox_objective
 from varseg import stage1
 from varseg.pipeline import schedule_for_data
@@ -106,7 +107,8 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
     want = suffix_gradients(problem, th)
     got = np.empty_like(th)
     for c, (bb, aa, xv) in enumerate(sparse_support(th)):
-        got[:, :, c] = stage1._column_residual(problem, c, bb, aa, xv)[1]
+        U = stage1._masked_columns(problem.lagged_rows, bb, aa)
+        got[:, :, c] = stage1._column_residual(problem, c, U, xv)[1]
     col_l1 = float(np.max(np.sum(np.abs(th), axis=(0, 1))))
     scale = (float(np.max(np.abs(problem.suffix_cross)))
              + float(np.max(np.abs(problem.suffix_gram))) * col_l1)
@@ -117,6 +119,35 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
 
 def _nnz(est):
     return sum(xv.size for _, _, xv in est.support)
+
+
+def _solve_and_pricings(problem, lam):
+    """bcd_solve, plus (column, blocks, coords, values) at every kernel call.
+
+    The kernel sees the working columns U, not the entries, so they are read
+    from the column's working support, and U is checked to be exactly their
+    masked raw-row columns.
+    """
+    kernel, init = stage1._column_residual, stage1._WorkingSupport.__init__
+    live, pricings = [], []
+
+    def track(work, problem, c):
+        init(work, problem, c)
+        live.append(work)
+
+    def spy(problem, c, U, xv):
+        work = live[-1]
+        assert work.c == c and xv.shape == work.bb.shape
+        assert np.array_equal(U, stage1._masked_columns(problem.lagged_rows,
+                                                        work.bb, work.aa))
+        pricings.append((c, work.bb.copy(), work.aa.copy(), xv.copy()))
+        return kernel(problem, c, U, xv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage1._WorkingSupport, "__init__", track)
+        mp.setattr(stage1, "_column_residual", spy)
+        est = bcd_solve(problem, lam)
+    return est, pricings
 
 
 def _assert_trace_matches_oracle(problem, est, lam):
@@ -311,16 +342,10 @@ def test_solve_prices_each_support_once_without_a_dense_theta():
     data = simulate(make_scenario(preset, 0))
     lam = schedule_for_data(data, preset.d).lambda_n
     problem = build_stage1(data, preset.d)
-    kernel = stage1._column_residual
-    priced = []
-
-    def spy(problem, c, bb, aa, xv):
-        priced.append((c, frozenset(zip(bb.tolist(), aa.tolist(), xv.tolist()))))
-        return kernel(problem, c, bb, aa, xv)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage1, "_column_residual", spy)
-        assert bcd_solve(problem, lam).converged
+    est, pricings = _solve_and_pricings(problem, lam)
+    assert est.converged
+    priced = [(c, frozenset(zip(bb.tolist(), aa.tolist(), xv.tolist())))
+              for c, bb, aa, xv in pricings]
     assert len(priced) == len(set(priced))
 
     # the solve holds a few arrays of one column's size, never one of
@@ -356,20 +381,82 @@ def test_solve_admits_at_most_one_entry_per_round(instance):
     # one entry, so the k-th pricing (0-based) of a column sees at most k;
     # this is why a support never outgrows the round cap
     problem, lam = instance()
-    kernel = stage1._column_residual
+    est, pricings = _solve_and_pricings(problem, lam)
     sizes: dict[int, list[int]] = {}
-
-    def spy(problem, c, bb, aa, xv):
+    for c, bb, _, _ in pricings:
         sizes.setdefault(c, []).append(bb.size)
-        return kernel(problem, c, bb, aa, xv)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage1, "_column_residual", spy)
-        est = bcd_solve(problem, lam)
     assert sorted(sizes) == list(range(problem.p))
     for col in sizes.values():
         assert all(size <= k for k, size in enumerate(col)), col
     assert est.converged
+
+
+@pytest.mark.parametrize("instance", [
+    pytest.param(lambda: solver_instance(48), id="gate-48"),
+    pytest.param(_scenario_1_seed_0, id="s1-seed0"),
+])
+def test_pivot_systems_match_suffix_gather(instance):
+    # each admit and drop leaves the working support's pivot system equal,
+    # to rounding, to the suffix-array gather it replaced, so every pivot
+    # solves the system the gather would have built.  Each entry on either
+    # side sums n - 1 products whose absolute values add up to at most the
+    # largest squared lag-column norm (for rhs, times the target's, by
+    # Cauchy-Schwarz); a sum of n - 1 terms in any order is off by at most
+    # n * eps times that, so the two sides differ by at most twice it
+    problem, lam = instance()
+    kappa = problem.n * lam / 2.0
+    lag_sq = float(np.max(np.sum(problem.lagged_rows ** 2, axis=0)))
+    y_sq = float(np.max(np.sum(problem.targets ** 2, axis=0)))
+    tol = 2 * problem.n * np.finfo(float).eps
+    updates = []
+
+    def check(work, kind):
+        A, rhs = suffix_pivot_system(problem, work.c, work.bb, work.aa, work.ss, kappa)
+        assert A.shape == work.A.shape
+        assert float(np.max(np.abs(work.A - A), initial=0.0)) <= tol * lag_sq
+        assert float(np.max(np.abs(work.rhs(kappa) - rhs), initial=0.0)) \
+            <= tol * np.sqrt(lag_sq * y_sq)
+        updates.append(kind)
+
+    admit, keep = stage1._WorkingSupport.admit, stage1._WorkingSupport.keep
+
+    def admit_spy(work, *args):
+        admit(work, *args)
+        check(work, "admit")
+
+    def keep_spy(work, mask):
+        keep(work, mask)
+        check(work, "drop")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage1._WorkingSupport, "admit", admit_spy)
+        mp.setattr(stage1._WorkingSupport, "keep", keep_spy)
+        assert bcd_solve(problem, lam).converged
+    assert "admit" in updates and "drop" in updates
+
+
+def test_build_and_solve_hold_no_suffix_sized_array():
+    # build_stage1 and bcd_solve together peak at a few arrays of one
+    # response column's gradient size, (n-1) * p*d floats, on scenario 3's
+    # structure at p = 50, where the suffix arrays, (n-1) * p*d * (p*d + p)
+    # floats, would be more than ten times that peak
+    preset = replace(scenario_preset(3), T=200, p=50, breaks=(100,))
+    data = simulate(make_scenario(preset, 0))
+    lam = schedule_for_data(data, preset.d).lambda_n
+    m, q = data.shape[0] - preset.d, preset.p * preset.d
+    column_bytes = 8 * m * q
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        problem = build_stage1(data, preset.d)
+        est = bcd_solve(problem, lam)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert est.converged
+    assert peak <= 8 * column_bytes
+    assert 8 * m * q * (q + preset.p) > 10 * 8 * column_bytes
+    assert "suffix_gram" not in vars(problem) and "suffix_cross" not in vars(problem)
 
 
 # --------------------------------------------------------------- kkt_check
@@ -472,16 +559,9 @@ def test_extract_candidates_are_the_nonzero_increments():
 
 def _solve_with_supports(problem, lam):
     """bcd_solve, plus each column's final support from its last pricing."""
-    kernel = stage1._column_residual
-    support = {}
-
-    def spy(problem, c, bb, aa, xv):
-        support[c] = set(zip(bb.tolist(), aa.tolist(), xv.tolist()))
-        return kernel(problem, c, bb, aa, xv)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage1, "_column_residual", spy)
-        est = bcd_solve(problem, lam)
+    est, pricings = _solve_and_pricings(problem, lam)
+    support = {c: set(zip(bb.tolist(), aa.tolist(), xv.tolist()))
+               for c, bb, aa, xv in pricings}
     return est, support
 
 
