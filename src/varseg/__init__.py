@@ -10,8 +10,9 @@ from .simulate import (ScenarioPreset, SimulationConfig, make_scenario,
                        scenario_preset, simulate)
 from .stage1 import (CandidateSet, KktReport, Stage1Problem, ThetaEstimate,
                      bcd_solve, build_stage1, extract_candidates, kkt_check)
-from .stage2 import (ScreeningResult, SegmentFit, evaluate_subset,
-                     fit_segment, premerge_candidates, select_breaks)
+from .stage2 import (ScreeningResult, SegmentFit, cluster_candidates,
+                     evaluate_subset, fit_segment, premerge_candidates,
+                     select_breaks)
 
 __version__ = "0.1.0"
 
@@ -24,7 +25,7 @@ __all__ = [
     "build_stage1", "bcd_solve", "kkt_check",
     "extract_candidates",
     "SegmentFit", "ScreeningResult", "fit_segment", "evaluate_subset",
-    "premerge_candidates", "select_breaks",
+    "premerge_candidates", "cluster_candidates", "select_breaks",
     "DetectionResult", "ReplicateSummary", "detect", "hausdorff",
     "run_replicates", "schedule_for_data", "stage1_coverage_check",
     "__version__",

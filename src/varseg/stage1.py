@@ -191,6 +191,8 @@ class _WorkingSupport:
         self.ss = self.uy = np.empty(0)
         self.A = np.empty((0, 0))
         self._cols = np.empty((self.lag.shape[0], 8))
+        # entries a degenerate pivot dropped: never admitted again
+        self.ban_b = self.ban_a = np.empty(0, dtype=np.intp)
 
     @property
     def U(self) -> np.ndarray:
@@ -274,10 +276,10 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     support = []
     converged = True
     sse = l1 = 0.0
+    price = np.empty((n - 1, q))    # |gradient| off the working support, per round
     for c in range(p):
         work = _WorkingSupport(problem, c)
         xv = np.empty(0)
-        banned = np.zeros((n - 1, q), dtype=bool)
         r = None
         for _ in range(_MAX_ROUNDS):
             if xv.size:
@@ -327,8 +329,9 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
                     if not np.isfinite(t_star):
                         break
                     hit = tcand <= t_star
-                    if t_star <= 0.0:
-                        banned[work.bb[hit], work.aa[hit]] = True   # degenerate pivot
+                    if t_star <= 0.0:     # degenerate pivot
+                        work.ban_b = np.append(work.ban_b, work.bb[hit])
+                        work.ban_a = np.append(work.ban_a, work.aa[hit])
                     else:
                         xv = xv + t_star * step
                     work.keep(~hit)
@@ -338,18 +341,20 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
             # full step, or an empty support: certify the column or admit
             # its worst threshold violator
             r, grad_col = _column_residual(problem, c, work.U, xv)
-            outside = np.abs(grad_col) > kappa + tol_eq
-            outside[work.bb, work.aa] = False
-            over = outside & ~banned
-            if not over.any():
+            np.abs(grad_col, out=price)
+            price[work.bb, work.aa] = -1.0
+            banned_out = False
+            if work.ban_b.size:
+                banned_out = bool(np.any(price[work.ban_b, work.ban_a] > kappa + tol_eq))
+                price[work.ban_b, work.ban_a] = -1.0
+            b_, a_ = divmod(int(np.argmax(price)), q)
+            if not price[b_, a_] > kappa + tol_eq:
                 # no admit left: certified if the equalities hold and no
                 # banned entry sits outside the band either
-                converged = converged and not outside.any() and not np.any(
+                converged = converged and not banned_out and not np.any(
                     np.abs(grad_col[work.bb, work.aa] - kappa * work.ss) > tol_eq)
                 break
             r = None
-            flat = np.where(over, np.abs(grad_col), -np.inf)
-            b_, a_ = np.unravel_index(np.argmax(flat), flat.shape)
             work.admit(b_, a_, np.sign(grad_col[b_, a_]))
             xv = np.append(xv, 0.0)
         if r is None:

@@ -9,11 +9,18 @@ size), and a subset is scored by
 
     IC(subset) = sum_i sse_i + n * eta_n * sum_i ||theta_i||_1 + m * omega_n.
 
-The search is backward elimination.  Removing break t_i merges only the
-two segments around it, so each removal is scored from the current
-subset's per-segment losses in O(1): the loss of the merged range
-replaces those of its two halves.  A merged range is fitted once, from
-the length-weighted mean of its two halves' fits.
+Screening has three steps, after Bai, Safikhani & Michailidis (JCGS
+2022).  The premerged candidates are clustered around well-separated
+representatives, R = ceil(n * gamma_n) apart (`cluster_candidates`).
+Backward elimination searches subsets of the representatives: removing
+break t_i merges only the two segments around it, so each removal is
+scored from the current subset's per-segment losses in O(1), the loss
+of the merged range replacing those of its two halves, and a merged
+range is fitted once, from the length-weighted mean of its two halves'
+fits.  Last, each picked break is refined to the member of its cluster
+that minimises the loss of its two adjacent segments.  The search trace
+lists the searched subsets of representatives; the chosen breaks, fits,
+L_n and IC are those of the refined segmentation.
 
 Each penalized refit first tries a short primal-dual active-set chain
 from its start (`_newton_finish`, a semismooth Newton method: Hintermueller,
@@ -26,11 +33,12 @@ does not certify, cyclic coordinate descent runs pass by pass
 retried from the descent iterate whenever its signs change; the descent
 alone finishes by its step tolerance.  `tests/cd_oracle.py` keeps the
 reference loop the kernel is checked against, and `tests/search_oracle.py`
-the subset searches the backward loop is checked against.
+the subset searches and the refine that `select_breaks` is checked against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,7 +112,8 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     else:
         n = effective_sample_size(T, d)
         theta_t, passes, converged, certified = _segment_lasso(
-            A.T @ A, A.T @ B, n * eta / 2.0, None if start is None else start.T)
+            A.T @ A, A.T @ B, n * eta / 2.0, A.shape[0],
+            None if start is None else start.T)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
@@ -138,10 +147,12 @@ def _lasso_gram_cd(G: np.ndarray, r: np.ndarray, kappa: float,
     return float(delta)
 
 
-def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float,
+def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, rows: int,
                    start: np.ndarray | None = None
                    ) -> tuple[np.ndarray, int, bool, bool]:
     """Newton chain from start (zero when None), then descent with retries.
+
+    G and r come from a segment of `rows` response rows.
 
     `_newton_finish` is tried once from start before any pass.  If it does
     not certify, `_lasso_gram_cd` runs one pass at a time from start and
@@ -163,14 +174,14 @@ def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float,
         signs = np.sign(theta)
         if not np.array_equal(signs, tried):
             tried = signs
-            exact = _newton_finish(G, r, kappa, theta)
+            exact = _newton_finish(G, r, kappa, theta, rows)
             if exact is not None:
                 return exact, passes, True, True
     return theta, max_passes, False, False
 
 
 def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
-                   theta: np.ndarray) -> np.ndarray | None:
+                   theta: np.ndarray, rows: int) -> np.ndarray | None:
     """Primal-dual active-set (semismooth Newton) chain from theta, or None.
 
     Each of at most `_NEWTON_STEPS` steps takes u = diag(G) theta +
@@ -184,8 +195,11 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
     returned only on a KKT certificate: finite, the same signs, every zero
     entry with |r - G theta| <= kappa (1 + 1e-9), and the support
     equalities met within 1e-9 kappa; otherwise it starts the next step.
-    The chain gives up on a sign pattern it has already seen, a singular
-    or non-finite solve, or at the step cap.  theta is not modified.
+    The chain gives up on a sign pattern it has already seen, a support
+    larger than `rows`, the segment's response rows (G has rank at most
+    rows, so such a system is singular, and a lasso optimum in general
+    position has no more nonzeros per column), a singular or non-finite
+    solve, or at the step cap.  theta is not modified.
     """
     diag = np.diag(G)[:, None]
     cols = np.arange(r.shape[1])[:, None]
@@ -200,11 +214,13 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
         on = signs != 0.0
         count = on.sum(axis=0)
         k = int(count.max())
-        rows = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
+        if k > rows:
+            return None
+        idx = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
         live = np.arange(k) < count[:, None]
         system = np.where(live[:, :, None] & live[:, None, :],
-                          G[rows[:, :, None], rows[:, None, :]], np.eye(k))
-        rhs = np.where(live, (r - kappa * signs)[rows, cols], 0.0)[:, :, None]
+                          G[idx[:, :, None], idx[:, None, :]], np.eye(k))
+        rhs = np.where(live, (r - kappa * signs)[idx, cols], 0.0)[:, :, None]
         try:
             solved = np.linalg.solve(system, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
@@ -213,7 +229,7 @@ def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
             return None
         theta = np.zeros_like(theta)
         c_on, s_on = np.nonzero(live)
-        theta[rows[c_on, s_on], c_on] = solved[c_on, s_on]
+        theta[idx[c_on, s_on], c_on] = solved[c_on, s_on]
         grad = r - G @ theta
         if (np.array_equal(np.sign(theta), signs)
                 and np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-9))
@@ -247,14 +263,17 @@ def _subset_loss(X: np.ndarray, breaks: tuple[int, ...], d: int, eta: float,
                  n: int, cache: dict) -> tuple[float, tuple[SegmentFit, ...]]:
     """`evaluate_subset` without its checks, for breaks known to be valid."""
     bounds = (d + 1, *breaks, X.shape[0] + 1)
-    fits = []
-    for key in zip(bounds, bounds[1:]):
-        fit = cache.get(key)
-        if fit is None:
-            fit = cache[key] = fit_segment(X, key, d, eta)
-        fits.append(fit)
+    fits = [_cached_fit(X, key, d, eta, cache) for key in zip(bounds, bounds[1:])]
     L = sum([f.sse for f in fits]) + n * eta * sum([f.l1_norm for f in fits])
     return float(L), tuple(fits)
+
+
+def _cached_fit(X: np.ndarray, key: tuple[int, int], d: int, eta: float,
+                cache: dict) -> SegmentFit:
+    fit = cache.get(key)
+    if fit is None:
+        fit = cache[key] = fit_segment(X, key, d, eta)
+    return fit
 
 
 def premerge_candidates(candidates: CandidateSet, d: int, T: int) -> tuple[int, ...]:
@@ -280,19 +299,44 @@ def premerge_candidates(candidates: CandidateSet, d: int, T: int) -> tuple[int, 
     return tuple(merged)
 
 
+def cluster_candidates(candidates: CandidateSet, d: int, T: int,
+                       radius: int) -> dict[int, tuple[int, ...]]:
+    """Group the premerged candidates around well-separated representatives.
+
+    The premerged candidates are walked by decreasing strength, the earlier
+    first on a tie, and each is kept unless it lies within `radius` of one
+    already kept.  Every premerged candidate then joins its nearest kept
+    one, the earlier on a tie.  Returns {representative: members}, both in
+    increasing order; each representative is a member of its own cluster,
+    and the clusters are runs of consecutive premerged candidates.
+    """
+    strength = dict(zip(candidates.indices, candidates.strengths))
+    merged = premerge_candidates(candidates, d, T)
+    kept: list[int] = []
+    for t in sorted(merged, key=lambda t: (-strength[t], t)):
+        if all(abs(t - k) > radius for k in kept):
+            kept.append(t)
+    clusters: dict[int, list[int]] = {k: [] for k in sorted(kept)}
+    for t in merged:
+        clusters[min(clusters, key=lambda k: (abs(t - k), k))].append(t)
+    return {k: tuple(v) for k, v in clusters.items()}
+
+
 def _ic(L: float, m: int, omega: float) -> float:
     return L + m * omega
 
 
 def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
                   schedule: TuningSchedule) -> ScreeningResult:
-    """Pick the IC-minimizing subset of the (pre-merged) candidate set.
+    """Cluster the candidates, search the representatives, refine the pick.
 
-    Backward elimination starts from the full set and greedily removes the
-    candidate whose removal decreases the IC most, stops when no removal
-    does, and scores the empty set if no level reached it.  The current
-    subset's segment fits and losses (sse + n * eta * l1_norm) are kept in
-    lists, so removing break i is scored in O(1) as
+    The premerged candidates are clustered (`cluster_candidates`) with
+    radius R = ceil(n * gamma_n).  Backward elimination then searches the
+    representatives: it starts from the full set and greedily removes the
+    one whose removal decreases the IC most, stops when no removal does,
+    and scores the empty set if no level reached it.  The current subset's
+    segment fits and losses (sse + n * eta * l1_norm) are kept in lists,
+    so removing break i is scored in O(1) as
 
         IC = L - loss_i - loss_{i+1} + loss(merged_i) + (m - 1) * omega,
 
@@ -301,19 +345,28 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     each accepted removal, which stops rounding drift.  The trace holds the
     full set, then each level's options in index order.  Ties break toward
     the smaller (IC, subset) within a level, and toward fewer breaks, then
-    the lexicographically smaller break vector, over the trace; the
-    reported L_n and ic are those `evaluate_subset` gives the chosen subset.
+    the lexicographically smaller break vector, over the trace.
+
+    The pick is then refined left to right: each break moves to the member
+    of its cluster that minimises the loss of its two adjacent segments,
+    between the already-refined break on its left and the searched one on
+    its right (the break stays on an exact tie).  Members of different
+    clusters are distinct premerged candidates, so every segment stays
+    longer than d.  No move raises the loss.  chosen_breaks, fits, L_n and
+    ic describe the refined segmentation, L_n and ic as `evaluate_subset`
+    gives them; search_trace holds the searched subsets of representatives.
     The schedule must pass `check_schedule`, or ValueError is raised.
     """
     check_schedule(schedule)
     X = np.asarray(data, dtype=float)
     T = X.shape[0]
-    cands = premerge_candidates(candidates, d, T)
-    # premerge spaces the candidates for this, and dropping breaks only
-    # widens segments, so every subset searched below is valid too
-    _check_subset(cands, d, T)
     eta, n = schedule.eta_n, effective_sample_size(T, d)
     omega, charge = schedule.omega_n, n * eta
+    clusters = cluster_candidates(candidates, d, T, math.ceil(n * schedule.gamma_n))
+    current = tuple(clusters)
+    # premerge spaces the candidates for this, and dropping breaks only
+    # widens segments, so every subset searched below is valid too
+    _check_subset(current, d, T)
     cache: dict = {}
 
     def loss(fit: SegmentFit) -> float:
@@ -328,7 +381,6 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
             fit = cache[lo, hi] = fit_segment(X, (lo, hi), d, eta, start=start)
         return fit
 
-    current = tuple(cands)
     bounds = [d + 1, *current, T + 1]
     fits = list(_subset_loss(X, current, d, eta, n, cache)[1])
     losses = [loss(f) for f in fits]
@@ -356,8 +408,17 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
         # only a level with one break scores the empty set
         trace.append(((), _ic(_subset_loss(X, (), d, eta, n, cache)[0], 0, omega)))
 
-    _, _, best = min((val, (len(s), s), s) for s, val in trace)
-    L_best, best_fits = _subset_loss(X, best, d, eta, n, cache)
+    _, _, picked = min((val, (len(s), s), s) for s, val in trace)
+
+    def split_loss(lo: int, t: int, hi: int) -> float:
+        return (loss(_cached_fit(X, (lo, t), d, eta, cache))
+                + loss(_cached_fit(X, (t, hi), d, eta, cache)))
+
+    best: list[int] = []
+    for t, hi in zip(picked, (*picked[1:], T + 1)):
+        lo = best[-1] if best else d + 1
+        best.append(min(clusters[t], key=lambda u: (split_loss(lo, u, hi), u != t)))
+    L_best, best_fits = _subset_loss(X, tuple(best), d, eta, n, cache)
     ic = _ic(L_best, len(best), omega)
-    return ScreeningResult(chosen_breaks=best, L_n=float(L_best), ic=float(ic),
+    return ScreeningResult(chosen_breaks=tuple(best), L_n=float(L_best), ic=float(ic),
                            fits=best_fits, search_trace=tuple(trace))

@@ -8,6 +8,7 @@ R=20 study a single time.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -15,10 +16,11 @@ import pytest
 from hypothesis import settings
 
 from prox_oracle import prox_objective
+from varseg.model import effective_sample_size
 from varseg.pipeline import data_scale, detect, run_replicates, schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import bcd_solve, build_stage1, extract_candidates
-from varseg.stage2 import premerge_candidates
+from varseg.stage2 import cluster_candidates, premerge_candidates
 
 settings.register_profile("suite", deadline=None, max_examples=40)
 settings.load_profile("suite")
@@ -175,6 +177,8 @@ def small_candidate_runs():
 
     A stiffer penalty (C = 1.1 * s^2) keeps stage 1 to a handful of
     candidates, so the brute-force search oracle (2^m subsets) stays cheap.
+    Each run is (data, candidates, schedule, representatives): the cluster
+    representatives are the set `select_breaks` searches.
     """
     preset = scenario_preset(1)
     runs = []
@@ -185,10 +189,12 @@ def small_candidate_runs():
         problem = build_stage1(data, preset.d)
         estimate = bcd_solve(problem, schedule.lambda_n)
         candidates = extract_candidates(estimate, preset.d)
-        merged = premerge_candidates(candidates, preset.d, data.shape[0])
-        if len(merged) > 10:
+        T = data.shape[0]
+        if len(premerge_candidates(candidates, preset.d, T)) > 10:
             continue
-        runs.append((data, candidates, schedule, merged))
+        radius = math.ceil(effective_sample_size(T, preset.d) * schedule.gamma_n)
+        reps = tuple(cluster_candidates(candidates, preset.d, T, radius))
+        runs.append((data, candidates, schedule, reps))
         if len(runs) == 20:
             break
     return runs

@@ -8,7 +8,9 @@ needs.
 
 `backward_trace` is backward elimination as `select_breaks` runs it, but
 with every scored subset summed afresh by `evaluate_subset` (O(m) per
-subset) instead of updated from its two neighbour fits.
+subset) instead of updated from its two neighbour fits.  `refine` is the
+step that follows the search, with every move scored by the loss of the
+whole segmentation rather than of the two segments it changes.
 """
 
 from __future__ import annotations
@@ -54,3 +56,13 @@ def backward_trace(data, merged, d, schedule):
     if not any(s == () for s, _ in trace):
         score(())
     return trace
+
+
+def refine(data, picked, clusters, d, schedule):
+    """Each picked break moved, left to right, to its cluster's best member."""
+    best = list(picked)
+    for i, t in enumerate(picked):
+        def total(u):
+            return evaluate_subset(data, (*best[:i], u, *best[i + 1:]), d, schedule)[0]
+        best[i] = min(clusters[t], key=lambda u: (total(u), u != t))
+    return tuple(best)

@@ -1,0 +1,23 @@
+"""`detect` keeps the answers pinned in `tests/golden_detections.json`."""
+
+import json
+
+import pytest
+
+from golden_detections import GOLDEN, inputs, record
+
+PINNED = json.loads(GOLDEN.read_text())
+INPUTS = {name: (preset, seed) for name, preset, seed in inputs()}
+
+
+def test_golden_file_lists_every_input():
+    assert list(PINNED) == list(INPUTS)
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_detections_match_the_golden_file(name):
+    want, got = PINNED[name], record(*INPUTS[name])
+    assert got["candidates"] == want["candidates"]
+    assert got["final_breaks"] == want["final_breaks"]
+    assert got["stage1_converged"] is want["stage1_converged"]
+    assert got["ic"] == pytest.approx(want["ic"], rel=1e-9, abs=0.0)

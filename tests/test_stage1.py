@@ -286,6 +286,33 @@ def test_refine_certifies_ill_conditioned_instance_from_zero():
     assert abs(got - oracle) <= 1e-6 * abs(oracle)
 
 
+def test_degenerate_pivot_bans_the_entry_and_still_certifies():
+    # rounded Gaussian data: in column 2 the solve on the support with the
+    # base block's lag coordinate 3 just admitted gives it the sign
+    # opposite its gradient's, a degenerate pivot (t* = 0), so the entry
+    # is dropped and banned; no oracle-gate instance reaches this path.
+    # The solve still certifies, at the oracle's objective
+    rng = np.random.default_rng(1182)
+    T, p, d = (int(rng.integers(lo, hi)) for lo, hi in ((8, 40), (1, 4), (1, 3)))
+    assert (T, p, d) == (23, 3, 2)
+    problem, lam = build_stage1(np.round(rng.standard_normal((T, p))), d), 0.01
+    init, works = stage1._WorkingSupport.__init__, []
+
+    def track(work, problem, c):
+        init(work, problem, c)
+        works.append(work)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage1._WorkingSupport, "__init__", track)
+        est = bcd_solve(problem, lam)
+    assert [(w.c, w.ban_b.tolist(), w.ban_a.tolist()) for w in works
+            if w.ban_b.size] == [(2, [0], [3])]
+    assert est.converged and kkt_check(problem, est, lam).passed
+    _assert_trace_matches_oracle(problem, est, lam)
+    oracle = prox_gradient_solve(problem, lam)
+    assert abs(est.objective_trace[-1] - oracle) <= 1e-6 * max(1.0, abs(oracle))
+
+
 def _break_instance():
     rng = np.random.default_rng(3)
     return build_stage1(piecewise_series(rng, T=40, p=2, d=1, break_at=20), 1), 0.005

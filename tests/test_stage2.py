@@ -1,5 +1,9 @@
 """Second-stage refits, the screening criterion, and the subset search."""
 
+import math
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,15 +11,16 @@ from hypothesis import strategies as st
 
 from cd_oracle import lasso_gram_cd_reference, soft_threshold
 from conftest import piecewise_series
-from search_oracle import backward_trace, best_subset
+from search_oracle import backward_trace, best_subset, refine
 from varseg import stage2
 from varseg.model import TuningSchedule, effective_sample_size
-from varseg.pipeline import detect
+from varseg.pipeline import detect, schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import CandidateSet
 from varseg.stage2 import (_NEWTON_STEPS, _lasso_gram_cd, _newton_finish,
-                           _segment_lasso, evaluate_subset, fit_segment,
-                           premerge_candidates, select_breaks)
+                           _segment_lasso, cluster_candidates,
+                           evaluate_subset, fit_segment, premerge_candidates,
+                           select_breaks)
 
 
 def make_schedule(eta=0.0, omega=1.0):
@@ -190,7 +195,7 @@ def test_segment_lasso_is_optimal(seed, regime):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stage2, "SEGMENT_TOL", 1e-13)
         mp.setattr(stage2, "SEGMENT_MAX_PASSES", 100_000)
-        theta, passes, converged, certified = _segment_lasso(G, r, kappa, start)
+        theta, passes, converged, certified = _segment_lasso(G, r, kappa, m, start)
     assert converged
     if start is not None:
         np.testing.assert_array_equal(start, given_start)
@@ -222,11 +227,11 @@ def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
     # a far higher cap: the repeat, not the cap, must end the chain
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 50)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    assert _newton_finish(G, r, 0.5, np.zeros((2, 1))) is None
+    assert _newton_finish(G, r, 0.5, np.zeros((2, 1)), 2) is None
     assert len(solves) == 3 <= _NEWTON_STEPS
     monkeypatch.undo()
     monkeypatch.setattr(stage2, "SEGMENT_TOL", 1e-13)
-    theta, passes, converged, _ = _segment_lasso(G, r, 0.5)
+    theta, passes, converged, _ = _segment_lasso(G, r, 0.5, 2)
     assert converged and passes >= 1
     np.testing.assert_allclose(theta, [[0.5], [0.0]], rtol=0.0, atol=1e-12)
 
@@ -250,29 +255,54 @@ def test_newton_finish_keeps_the_search(monkeypatch):
 
 
 def test_certified_fits_do_not_depend_on_the_start(monkeypatch):
-    # scenario 1, seed 0: every merged range the search scores, refitted
-    # from its neighbour-mean start and from zero
+    # scenario 1, seeds from 0 until more than 30 warm starts are pooled:
+    # every merged range the search scores, refitted from its
+    # neighbour-mean start and from zero
     preset = scenario_preset(1)
-    data = simulate(make_scenario(preset, 0))
     calls = []
     fit = stage2.fit_segment
 
     def spy(X, rng, d, eta, **kw):
-        calls.append((rng, eta, kw.get("start")))
+        calls.append((X, rng, eta, kw.get("start")))
         return fit(X, rng, d, eta, **kw)
 
     monkeypatch.setattr(stage2, "fit_segment", spy)
-    detect(data, preset.d)
+    warm = []
+    for seed in range(20):
+        detect(simulate(make_scenario(preset, seed)), preset.d)
+        warm = [c for c in calls if c[3] is not None]
+        if len(warm) > 30:
+            break
     monkeypatch.undo()
-    warm = [c for c in calls if c[2] is not None]
     both = 0
-    for rng, eta, start in warm:
+    for data, rng, eta, start in warm:
         a = fit_segment(data, rng, preset.d, eta, start=start)
         b = fit_segment(data, rng, preset.d, eta)
         if a.certified and b.certified:
             both += 1
             assert a.theta.tobytes() == b.theta.tobytes(), rng
     assert len(warm) > 30 and both > len(warm) // 2
+
+
+def test_fit_with_more_coefficients_than_rows_stays_small():
+    # p=10, d=30: q = 300 coefficients per equation on 90 response rows.
+    # A Newton step whose support outgrows the rows has a singular system,
+    # so the chain gives up on it rather than solve p systems of up to
+    # q x q; the fit still certifies, with at most 90 nonzeros per column
+    preset = replace(scenario_preset(1), T=120, p=10, breaks=())
+    data = simulate(make_scenario(preset, 0))
+    d, q = 30, 300
+    eta = schedule_for_data(data, d).eta_n
+    tracemalloc.start()
+    try:
+        fit = fit_segment(data, (d + 1, 121), d, eta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.certified and fit.converged
+    assert int(np.max(np.count_nonzero(fit.theta, axis=1))) <= 90
+    # eight q x q arrays; solving the oversized steps peaks at 34
+    assert peak <= 8 * 8 * q * q
 
 
 def test_fit_segment_rejects_a_bad_start():
@@ -397,22 +427,107 @@ def test_premerge_spacing_property(times):
 
 # ------------------------------------------------------------ select_breaks
 
+def _clusters(det, data, d):
+    """The clusters `select_breaks` formed in detection det."""
+    T = data.shape[0]
+    radius = math.ceil(effective_sample_size(T, d) * det.schedule.gamma_n)
+    return cluster_candidates(det.stage1, d, T, radius)
+
+
+def _searched_pick(screening):
+    """The subset the backward search picked, before the refine."""
+    return min((val, (len(s), s), s) for s, val in screening.search_trace)[2]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_select_breaks_matches_the_reference_search(seed):
-    # scenario 1: the neighbour-fit updates search the same subsets as
-    # summing every subset afresh, and report the chosen one's own sums
+    # scenario 1: the neighbour-fit updates search the same subsets of the
+    # cluster representatives as summing every subset afresh, the refine
+    # moves the pick as whole-segmentation losses do, and the refined
+    # breaks report their own sums
     preset = scenario_preset(1)
     data = simulate(make_scenario(preset, seed))
     det = detect(data, preset.d)
     got, schedule = det.stage2, det.schedule
-    merged = premerge_candidates(det.stage1, preset.d, data.shape[0])
-    want = backward_trace(data, merged, preset.d, schedule)
+    clusters = _clusters(det, data, preset.d)
+    want = backward_trace(data, tuple(clusters), preset.d, schedule)
     assert [s for s, _ in got.search_trace] == [s for s, _ in want]
     for (_, a), (_, b) in zip(got.search_trace, want):
         assert abs(a - b) <= 1e-12 * abs(b)
+    assert got.chosen_breaks == refine(data, _searched_pick(got), clusters,
+                                       preset.d, schedule)
     L, _ = evaluate_subset(data, got.chosen_breaks, preset.d, schedule)
     assert got.L_n == L
     assert got.ic == L + len(got.chosen_breaks) * schedule.omega_n
+
+
+def test_clusters_keep_the_strongest_apart_and_join_the_nearest():
+    # by strength: 40 is kept, 45 lies within 5 of it, 50 (10 away) is
+    # kept; of 20 and 24, tied in strength, the earlier is kept and 24
+    # dropped; 80 is kept.  45 is 5 from both 40 and 50 and joins the
+    # earlier
+    cands = candidate_set((20, 24, 40, 45, 50, 80),
+                          strengths=(0.5, 0.5, 0.9, 0.8, 0.7, 0.1))
+    assert cluster_candidates(cands, d=1, T=100, radius=5) == {
+        20: (20, 24), 40: (40, 45), 50: (50,), 80: (80,)}
+    # radius 0 keeps every premerged candidate on its own
+    assert cluster_candidates(cands, d=1, T=100, radius=0) == {
+        t: (t,) for t in (20, 24, 40, 45, 50, 80)}
+    assert cluster_candidates(candidate_set(()), d=1, T=100, radius=5) == {}
+
+
+@given(st.dictionaries(st.integers(4, 96), st.floats(0.01, 1.0), max_size=25),
+       st.integers(0, 30))
+def test_clusters_partition_the_premerged_candidates(strengths, radius):
+    times = sorted(strengths)
+    cands = candidate_set(times, [strengths[t] for t in times])
+    clusters = cluster_candidates(cands, d=1, T=100, radius=radius)
+    reps = list(clusters)
+    assert reps == sorted(reps)
+    assert all(b - a > radius for a, b in zip(reps, reps[1:]))
+    members = [t for m in clusters.values() for t in m]
+    assert members == list(premerge_candidates(cands, 1, 100))
+    for rep, m in clusters.items():
+        assert rep in m
+        for t in m:
+            assert min(reps, key=lambda k: (abs(t - k), k)) == rep
+
+
+def test_select_breaks_on_spaced_candidates_is_the_plain_search():
+    # candidates more than R = ceil(n * gamma_n) apart are their own
+    # clusters: the search runs over all of them and the refine has
+    # nowhere to move
+    preset = scenario_preset(1)
+    data = simulate(make_scenario(preset, 0))
+    schedule = schedule_for_data(data, preset.d)
+    assert math.ceil(effective_sample_size(300, 1) * schedule.gamma_n) == 18
+    times = (40, 70, 100, 130, 170, 200, 240)
+    cands = candidate_set(times, strengths=(0.3, 0.1, 0.5, 0.2, 0.1, 0.4, 0.2))
+    got = select_breaks(data, cands, preset.d, schedule)
+    want = backward_trace(data, times, preset.d, schedule)
+    assert [s for s, _ in got.search_trace] == [s for s, _ in want]
+    for (_, a), (_, b) in zip(got.search_trace, want):
+        assert abs(a - b) <= 1e-12 * abs(b)
+    assert got.chosen_breaks == _searched_pick(got) == (100, 200)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3])
+def test_refine_stays_in_its_cluster_and_never_raises_the_loss(scenario):
+    preset = scenario_preset(scenario)
+    moved = 0
+    for seed in range(6):
+        data = simulate(make_scenario(preset, seed))
+        det = detect(data, preset.d)
+        got, d = det.stage2, preset.d
+        picked, clusters = _searched_pick(got), _clusters(det, data, d)
+        L, _ = evaluate_subset(data, picked, d, det.schedule)
+        assert got.ic <= L + len(picked) * det.schedule.omega_n
+        assert len(got.chosen_breaks) == len(picked)
+        assert all(b in clusters[t] for b, t in zip(got.chosen_breaks, picked))
+        bounds = (d + 1, *got.chosen_breaks, data.shape[0] + 1)
+        assert all(b - a > d for a, b in zip(bounds, bounds[1:]))
+        moved += got.chosen_breaks != picked
+    assert moved
 
 
 def test_select_no_candidates():
