@@ -122,16 +122,20 @@ def detect(data: np.ndarray, d: int,
     if T <= 3 * d:
         raise PipelineError("input", f"need T > 3d, got T={T}, d={d}")
     # stage 1 holds the lagged rows, (T - d) * q floats, and per response
-    # column a few work arrays of their size and its working columns:
-    # under eight such arrays in all on every perfbench workload.  The
-    # estimate is only its nonzeros
-    q = X.shape[1] * d
-    need = 8 * 8 * (T - d) * q
+    # column a few work arrays of their size and its working columns (the
+    # estimate is only its nonzeros): under eight such arrays in all on
+    # every perfbench workload.  Stage 2's largest system is a segment's
+    # q x q Gram and p batched k x k systems, k <= min(q, segment rows)
+    p, q = X.shape[1], X.shape[1] * d
+    k = min(q, T - d)
     have = _physical_memory()
-    if need > have:
-        raise PipelineError("input", f"stage 1 needs {need / 2**30:.1f} GiB of "
-                                     f"lagged rows and work arrays, more than the "
-                                     f"{have / 2**30:.1f} GiB of physical memory")
+    for stage, need, what in (
+            (1, 8 * 8 * (T - d) * q, "lagged rows and work arrays"),
+            (2, 8 * (q * q + p * k * k), "segment Gram and batched systems")):
+        if need > have:
+            raise PipelineError("input", f"stage {stage} needs {need / 2**30:.1f} GiB of "
+                                         f"{what}, more than the {have / 2**30:.1f} GiB "
+                                         f"of physical memory")
     try:
         if schedule is None:
             schedule = schedule_for_data(X, d)

@@ -223,24 +223,81 @@ class _WorkingSupport:
 
 
 _MAX_ROUNDS = 150
+_EQ_TOL = 1e-6      # equality and band tolerance, relative to the threshold
+
+
+def _pivot(A: np.ndarray, rhs: np.ndarray, xv: np.ndarray, ss: np.ndarray,
+           tol_eq: float) -> tuple[np.ndarray, np.ndarray | None, bool] | None:
+    """One pivot of the primal active-set method on a working support.
+
+    A z = rhs are the support's stationarity equalities (A symmetric PSD),
+    xv the iterate and ss the signs its entries entered with.  One
+    eigendecomposition gives the rank test, the pseudo-inverse solve and
+    the null space.  The pivot walks toward z only as far as the first
+    sign crossing or, when a rank-deficient support cannot meet the
+    equalities, descends along the null space until an entry hits zero;
+    every move descends, so the method cannot cycle.  Returns (z, None,
+    False) for a full step; (x, hit, ban) for a drop, x the iterate after
+    the walk without the entries in hit, ban True for a zero-length walk,
+    whose entries must never be admitted again; or None on a breakdown.
+    """
+    try:
+        w, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError:
+        return None
+    aw = np.abs(w)
+    kept = aw > aw.max() * xv.size * np.finfo(float).eps
+    Vk = V[:, kept]
+    z = Vk @ ((Vk.T @ rhs) / w[kept])
+    null_rows = V[:, ~kept].T if not kept.all() else None
+    if null_rows is not None:
+        z = z + null_rows.T @ (null_rows @ (xv - z))
+    if not np.all(np.isfinite(z)):
+        return None
+
+    unmet = float(np.max(np.abs(A @ z - rhs))) > tol_eq
+    if unmet and null_rows is None:
+        # full rank, so the miss is rounding on an ill-conditioned support:
+        # one step of iterative refinement with the same eigendecomposition
+        z = z + Vk @ ((Vk.T @ (rhs - A @ z)) / w[kept])
+        if not float(np.max(np.abs(A @ z - rhs))) <= tol_eq:
+            return None     # still unmet (or not finite): hopeless
+        unmet = False
+    flips = z * ss <= 0.0
+    if not (unmet or flips.any()):
+        return z, None, False
+    if unmet:
+        # equalities unattainable on this face: the objective descends
+        # along the null space until a sign crossing
+        step = -(null_rows.T @ (null_rows @ (A @ xv - rhs)))
+        if float(np.max(np.abs(step))) <= tol_eq:
+            return None
+        with np.errstate(divide='ignore', invalid='ignore'):
+            tcand = np.where(xv * step < 0.0, -xv / step, np.inf)
+        tcand = np.where((xv == 0.0) & (step * ss < 0.0), 0.0, tcand)
+    else:
+        # walk toward z only as far as the first sign crossing
+        step = z - xv
+        with np.errstate(divide='ignore', invalid='ignore'):
+            tcand = np.where(flips & (xv != 0.0), xv / (xv - z), np.inf)
+        tcand = np.where(flips & (xv == 0.0), 0.0, tcand)
+    t_star = float(np.min(tcand))
+    if not np.isfinite(t_star):
+        return None
+    hit = tcand <= t_star
+    if t_star <= 0.0:     # degenerate pivot
+        return xv[~hit], hit, True
+    return (xv + t_star * step)[~hit], hit, False
 
 
 def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     """Stage-1 solve: the active-set method from zero, column by column.
 
     Response columns never couple, so each runs the classic primal scheme:
-    solve the stationarity equalities on the working support (linear
-    there), walk from the iterate toward that solution only as far as the
-    first sign crossing, drop the crossing entry, and at a full step admit
-    the worst threshold violator.  Every move descends, so the scheme
-    cannot cycle.  On a rank-deficient support whose equalities are
-    unattainable the objective is instead reduced along the null space
-    until an entry hits zero, which restores attainability.  The working
-    Gram, kept up to date over admits and drops by `_WorkingSupport`, is
-    symmetric PSD, so one symmetric eigendecomposition per pivot
-    gives the rank test, the pseudo-inverse solve and the null space
-    (a support turns singular as its entries approach the equation count:
-    30 of 34, 33 of 35 and 40 of 40 on the oracle gate's instances).
+    pivot on the working support (`_pivot`, on the system `_WorkingSupport`
+    keeps), and at a full step admit the worst threshold violator.  (A
+    support turns singular as its entries approach the equation count:
+    30 of 34, 33 of 35 and 40 of 40 on the oracle gate's instances.)
 
     A column is certified by the pricing round that finds no violator,
     from that round's gradient: the equalities met on the support and
@@ -267,8 +324,7 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
     n, p, q = problem.n, problem.p, problem.p * problem.d
     kappa = n * lam / 2.0
-    tol_eq = 1e-6 * kappa
-    eps = np.finfo(float).eps
+    tol_eq = _EQ_TOL * kappa
     # contiguous columns, as the kernel's residuals are: a strided dot sums
     # in another order, and a zero candidate must not beat zero by an ulp
     start = sum(float(t @ t) for t in np.ascontiguousarray(problem.targets.T)) / n
@@ -283,61 +339,16 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
         r = None
         for _ in range(_MAX_ROUNDS):
             if xv.size:
-                A, rhs, ss = work.A, work.rhs(kappa), work.ss
-                try:
-                    w, V = np.linalg.eigh(A)
-                except np.linalg.LinAlgError:
+                moved = _pivot(work.A, work.rhs(kappa), xv, work.ss, tol_eq)
+                if moved is None:
                     break
-                aw = np.abs(w)
-                kept = aw > aw.max() * xv.size * eps
-                Vk = V[:, kept]
-                z = Vk @ ((Vk.T @ rhs) / w[kept])
-                null_rows = V[:, ~kept].T if not kept.all() else None
-                if null_rows is not None:
-                    z = z + null_rows.T @ (null_rows @ (xv - z))
-                if not np.all(np.isfinite(z)):
-                    break
-
-                unmet = float(np.max(np.abs(A @ z - rhs))) > tol_eq
-                if unmet and null_rows is None:
-                    # full rank, so the miss is rounding on an
-                    # ill-conditioned support: one step of iterative
-                    # refinement with the same eigendecomposition
-                    z = z + Vk @ ((Vk.T @ (rhs - A @ z)) / w[kept])
-                    if not float(np.max(np.abs(A @ z - rhs))) <= tol_eq:
-                        break       # still unmet (or not finite): hopeless
-                    unmet = False
-                flips = z * ss <= 0.0
-                if unmet or flips.any():
-                    if unmet:
-                        # equalities unattainable on this face: the
-                        # objective descends along the null space until a
-                        # sign crossing
-                        step = -(null_rows.T @ (null_rows @ (A @ xv - rhs)))
-                        if float(np.max(np.abs(step))) <= tol_eq:
-                            break
-                        with np.errstate(divide='ignore', invalid='ignore'):
-                            tcand = np.where(xv * step < 0.0, -xv / step, np.inf)
-                        tcand = np.where((xv == 0.0) & (step * ss < 0.0), 0.0, tcand)
-                    else:
-                        # walk toward z only as far as the first sign crossing
-                        step = z - xv
-                        with np.errstate(divide='ignore', invalid='ignore'):
-                            tcand = np.where(flips & (xv != 0.0), xv / (xv - z), np.inf)
-                        tcand = np.where(flips & (xv == 0.0), 0.0, tcand)
-                    t_star = float(np.min(tcand))
-                    if not np.isfinite(t_star):
-                        break
-                    hit = tcand <= t_star
-                    if t_star <= 0.0:     # degenerate pivot
+                xv, hit, ban = moved
+                if hit is not None:
+                    if ban:
                         work.ban_b = np.append(work.ban_b, work.bb[hit])
                         work.ban_a = np.append(work.ban_a, work.aa[hit])
-                    else:
-                        xv = xv + t_star * step
                     work.keep(~hit)
-                    xv = xv[~hit]
                     continue
-                xv = z
             # full step, or an empty support: certify the column or admit
             # its worst threshold violator
             r, grad_col = _column_residual(problem, c, work.U, xv)

@@ -22,18 +22,14 @@ that minimises the loss of its two adjacent segments.  The search trace
 lists the searched subsets of representatives; the chosen breaks, fits,
 L_n and IC are those of the refined segmentation.
 
-Each penalized refit first tries a short primal-dual active-set chain
-from its start (`_newton_finish`, a semismooth Newton method: Hintermueller,
-Ito & Kunisch, SIAM J. Optim. 2002), whose steps are exact solves of the
-stationarity equations on the signs the iterate implies, kept only when
-one passes a KKT certificate.  A certified fit depends only on its last
-system, so it does not depend on where its chain started.  If the chain
-does not certify, cyclic coordinate descent runs pass by pass
-(`_lasso_gram_cd`, a plain loop that visits every row) and the chain is
-retried from the descent iterate whenever its signs change; the descent
-alone finishes by its step tolerance.  `tests/cd_oracle.py` keeps the
-reference loop the kernel is checked against, and `tests/search_oracle.py`
-the subset searches and the refine that `select_breaks` is checked against.
+Each penalized refit (`_lasso`) runs a short primal-dual active-set chain
+from its start (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002); a
+response column the chain never certifies runs stage 1's active-set pivot
+from zero (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).  A fit
+is always a solve on its signs, so a certified fit does not depend on the
+start.  `tests/cd_oracle.py` keeps the coordinate-descent reference the
+fits are checked against, and `tests/search_oracle.py` the subset
+searches and the refine that `select_breaks` is checked against.
 """
 
 from __future__ import annotations
@@ -45,11 +41,10 @@ import numpy as np
 
 from .model import (TuningSchedule, check_eta, check_schedule,
                     effective_sample_size)
-from .stage1 import CandidateSet, _lagged_design
+from .stage1 import _EQ_TOL, _MAX_ROUNDS, CandidateSet, _lagged_design, _pivot
 
-SEGMENT_TOL = 1e-7
-SEGMENT_MAX_PASSES = 10_000
 _NEWTON_STEPS = 4
+_KKT_TOL = 1e-9     # the fit certificate's tolerance, relative to kappa
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +53,7 @@ class SegmentFit:
     theta: np.ndarray          # p x (p*d)
     sse: float
     l1_norm: float
-    converged: bool            # False when the CD fit stopped at SEGMENT_MAX_PASSES
-    passes: int                # CD passes run (0 for the unpenalized solve,
-                               # and for a fit certified from its start)
-    certified: bool            # True when a Newton chain ended the fit
+    converged: bool            # KKT-certified (always True for eta = 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +73,11 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     hi <= T+1, and hold more than d of them; otherwise ValueError.
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
-    to a plain least-squares solve.  For eta > 0, `_segment_lasso` tries a
-    Newton chain from `start` (a finite p x (p*d) block in `theta`'s
-    orientation; zero when None), then runs coordinate-descent passes from
-    there with chain retries; the fit is converged when a chain is
-    certified or, the only way to finish by `SEGMENT_TOL`, when a pass
-    moves no entry by that much.  A certified fit is the same, to the byte,
-    from any start.  Only the segment's rows of the lagged design are built.
+    to a plain least-squares solve.  For eta > 0 the lasso is solved from
+    `start`, a finite p x (p*d) block in `theta`'s orientation (zero when
+    None), and the fit is converged when it passes the KKT certificate; a
+    certified fit is the same, to the byte, from any start.  Only the
+    segment's rows of the lagged design are built.
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
@@ -98,144 +88,138 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     if hi - lo <= d:
         raise ValueError(f"segment [{lo}, {hi}) too short for d={d}")
     check_eta(eta)
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (p, p * d) or not np.all(np.isfinite(start)):
-            raise ValueError(f"start must be a finite {p} x {p * d} array")
+    start = np.zeros((p, p * d)) if start is None else np.asarray(start, dtype=float)
+    if start.shape != (p, p * d) or not np.all(np.isfinite(start)):
+        raise ValueError(f"start must be a finite {p} x {p * d} array")
     # response time t occupies design row t - 1 - d, whose lags reach back
     # d rows of the series
     A, B = _lagged_design(X[lo - 1 - d:hi - 1], d)
 
-    converged, passes, certified = True, 0, False
     if eta == 0.0:
-        theta_t, *_ = np.linalg.lstsq(A, B, rcond=None)
+        theta_t, converged = np.linalg.lstsq(A, B, rcond=None)[0], True
     else:
-        n = effective_sample_size(T, d)
-        theta_t, passes, converged, certified = _segment_lasso(
-            A.T @ A, A.T @ B, n * eta / 2.0, A.shape[0],
-            None if start is None else start.T)
+        kappa = effective_sample_size(T, d) * eta / 2.0
+        theta_t, converged = _lasso(A.T @ A, A.T @ B, kappa, A.shape[0], start.T)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
                       l1_norm=float(np.sum(np.abs(theta_t))),
-                      converged=converged, passes=passes, certified=certified)
+                      converged=converged)
 
 
-def _lasso_gram_cd(G: np.ndarray, r: np.ndarray, kappa: float,
-                   theta: np.ndarray) -> float:
-    """One cyclic coordinate-descent pass of the Gram-form lasso, in place.
+def _lasso(G: np.ndarray, r: np.ndarray, kappa: float, rows: int,
+           start: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Minimize sum_c [theta_c' G theta_c - 2 r_c' theta_c] + 2 kappa |theta|_1.
 
-    Minimizes sum_c [theta_c' G theta_c - 2 r_c' theta_c] plus the l1
-    charge with per-entry threshold kappa over the rows of theta (all
-    response columns of one row move together), visiting every row once.
-    Returns the largest change of any entry in the pass.
-    """
-    diag = np.diag(G)
-    delta = 0.0
-    for a in range(G.shape[0]):
-        old = theta[a]
-        if diag[a] <= 0.0:
-            # No curvature: only exactly-zero data columns land here.
-            new = np.zeros_like(old)
-        else:
-            partial = r[a] - G[a] @ theta + diag[a] * old
-            new = np.sign(partial) * np.maximum(np.abs(partial) - kappa, 0.0) / diag[a]
-        step = np.abs(new - old).max()
-        theta[a] = new
-        if step > delta:
-            delta = step
-    return float(delta)
-
-
-def _segment_lasso(G: np.ndarray, r: np.ndarray, kappa: float, rows: int,
-                   start: np.ndarray | None = None
-                   ) -> tuple[np.ndarray, int, bool, bool]:
-    """Newton chain from start (zero when None), then descent with retries.
-
-    G and r come from a segment of `rows` response rows.
-
-    `_newton_finish` is tried once from start before any pass.  If it does
-    not certify, `_lasso_gram_cd` runs one pass at a time from start and
-    stops once a pass moves no entry by `SEGMENT_TOL` or more, or after
-    `SEGMENT_MAX_PASSES` passes (both read at call time); after each pass
-    whose signs differ from those the last chain started from, the chain is
-    tried again from the descent iterate.  Only the descent finishes by
-    `SEGMENT_TOL`.
-    Returns (theta, passes, converged, certified); passes is 0 when the
-    chain from start certified.  start is not modified.
-    """
-    tol, max_passes = SEGMENT_TOL, SEGMENT_MAX_PASSES
-    theta = np.zeros_like(r) if start is None else np.array(start, dtype=float)
-    tried = None
-    for passes in range(max_passes + 1):
-        # pass 0 only tries the chain from start
-        if passes and _lasso_gram_cd(G, r, kappa, theta) < tol:
-            return theta, passes, True, False
-        signs = np.sign(theta)
-        if not np.array_equal(signs, tried):
-            tried = signs
-            exact = _newton_finish(G, r, kappa, theta, rows)
-            if exact is not None:
-                return exact, passes, True, True
-    return theta, max_passes, False, False
-
-
-def _newton_finish(G: np.ndarray, r: np.ndarray, kappa: float,
-                   theta: np.ndarray, rows: int) -> np.ndarray | None:
-    """Primal-dual active-set (semismooth Newton) chain from theta, or None.
-
-    Each of at most `_NEWTON_STEPS` steps takes u = diag(G) theta +
-    (r - G theta), sets signs to sign(u) where |u| > kappa and to 0
-    elsewhere, and solves G_SS theta_S = r_S - kappa * signs_S on each
-    column's support S.  The support rows are gathered into a k x k
-    system, k the largest support, padded with the identity and a zero
-    right-hand side, so one batched solve covers every column; entries
-    off the support are +0.0, so a returned solve depends only on (G, r,
-    kappa) and its signs, not on where the chain started.  A solve is
-    returned only on a KKT certificate: finite, the same signs, every zero
-    entry with |r - G theta| <= kappa (1 + 1e-9), and the support
-    equalities met within 1e-9 kappa; otherwise it starts the next step.
-    The chain gives up on a sign pattern it has already seen, a support
-    larger than `rows`, the segment's response rows (G has rank at most
-    rows, so such a system is singular, and a lasso optimum in general
-    position has no more nonzeros per column), a singular or non-finite
-    solve, or at the step cap.  theta is not modified.
+    G and r come from a segment of `rows` response rows.  A semismooth
+    Newton chain runs from start: each of at most `_NEWTON_STEPS` steps
+    (read at call time) solves (`_signed_solve`) on the signs of u =
+    diag(G) theta + (r - G theta) where |u| > kappa, zero elsewhere, and
+    is the fit if certified in every column.  On a repeated sign pattern,
+    a failed solve or at the cap, each column some step certified keeps
+    its signs, the others run `_pivot_column`, and one solve on the
+    combined signs gives theta.  Returns (theta, certified in every
+    column); when that solve fails, the pieces, uncertified.
     """
     diag = np.diag(G)[:, None]
-    cols = np.arange(r.shape[1])[:, None]
-    grad = r - G @ theta
+    theta, grad = start, r - G @ start
+    kept, done = np.zeros_like(r), np.zeros(r.shape[1], dtype=bool)
     seen: list[np.ndarray] = []
     for _ in range(_NEWTON_STEPS):
         u = diag * theta + grad
         signs = np.where(np.abs(u) > kappa, np.sign(u), 0.0)
         if any(np.array_equal(signs, s) for s in seen):
-            return None
+            break
         seen.append(signs)
-        on = signs != 0.0
-        count = on.sum(axis=0)
-        k = int(count.max())
-        if k > rows:
-            return None
-        idx = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
-        live = np.arange(k) < count[:, None]
-        system = np.where(live[:, :, None] & live[:, None, :],
-                          G[idx[:, :, None], idx[:, None, :]], np.eye(k))
-        rhs = np.where(live, (r - kappa * signs)[idx, cols], 0.0)[:, :, None]
-        try:
-            solved = np.linalg.solve(system, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(solved)):
-            return None
-        theta = np.zeros_like(theta)
-        c_on, s_on = np.nonzero(live)
-        theta[idx[c_on, s_on], c_on] = solved[c_on, s_on]
-        grad = r - G @ theta
-        if (np.array_equal(np.sign(theta), signs)
-                and np.all(np.abs(grad[~on]) <= kappa * (1.0 + 1e-9))
-                and np.all(np.abs(grad[on] - kappa * signs[on]) <= 1e-9 * kappa)):
-            return theta
-    return None
+        solved = _signed_solve(G, r, kappa, signs, rows)
+        if solved is None:
+            break
+        theta, grad, ok = solved
+        if ok.all():
+            return theta, True
+        kept[:, ok] = theta[:, ok]
+        done |= ok
+    for c in np.flatnonzero(~done):
+        S, xv = _pivot_column(G, r[:, c], kappa)
+        kept[S, c] = xv
+    solved = _signed_solve(G, r, kappa, np.sign(kept), rows)
+    if solved is None:
+        return kept, False
+    return solved[0], bool(solved[2].all())
+
+
+def _pivot_column(G: np.ndarray, r: np.ndarray,
+                  kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """One response column's lasso by stage 1's active-set method from zero.
+
+    `stage1.bcd_solve`'s loop in Gram form: `_pivot` on A = G_SS and rhs =
+    r_S - kappa * s, and at a full step the worst entry of r - G[:, S]
+    theta_S outside the certificate's band kappa (1 + `_KKT_TOL`) is
+    admitted (stage 1's wider band can fail the certificate), until none
+    is left, a pivot breaks down, or `_MAX_ROUNDS` rounds (this module's
+    binding, read at call time) have run.  Returns the support S and xv.
+    """
+    S = np.empty(0, dtype=np.intp)
+    ss = xv = np.empty(0)
+    banned = np.zeros(G.shape[0], dtype=bool)
+    for _ in range(_MAX_ROUNDS):
+        if xv.size:
+            moved = _pivot(G[np.ix_(S, S)], r[S] - kappa * ss, xv, ss, _EQ_TOL * kappa)
+            if moved is None:
+                break
+            xv, hit, ban = moved
+            if hit is not None:
+                banned[S[hit]] |= ban
+                S, ss = S[~hit], ss[~hit]
+                continue
+        grad = r - G[:, S] @ xv
+        price = np.abs(grad)
+        price[S] = price[banned] = -1.0
+        a = int(np.argmax(price))
+        if not price[a] > kappa * (1.0 + _KKT_TOL):
+            break
+        S, ss, xv = np.append(S, a), np.append(ss, np.sign(grad[a])), np.append(xv, 0.0)
+    return S, xv
+
+
+def _signed_solve(G: np.ndarray, r: np.ndarray, kappa: float, signs: np.ndarray,
+                  rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Solve G_SS theta_S = r_S - kappa * signs_S on each column's support S.
+
+    The support rows are gathered into a k x k system, k the largest
+    support, padded with the identity and a zero right-hand side, so one
+    batched solve covers every column; entries off the support are +0.0,
+    so the solve depends only on (G, r, kappa) and the signs.  Returns
+    (theta, grad = r - G theta, certified), the KKT certificate per column:
+    theta has the signs, |grad| <= kappa (1 + `_KKT_TOL`) on zero entries,
+    and the support equalities hold within `_KKT_TOL` kappa.  None for a
+    singular or non-finite solve, or a support larger than `rows` (G has
+    rank at most rows; a lasso optimum in general position has no more).
+    """
+    cols = np.arange(r.shape[1])[:, None]
+    on = signs != 0.0
+    count = on.sum(axis=0)
+    k = int(count.max())
+    if k > rows:
+        return None
+    idx = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
+    live = np.arange(k) < count[:, None]
+    system = np.where(live[:, :, None] & live[:, None, :],
+                      G[idx[:, :, None], idx[:, None, :]], np.eye(k))
+    rhs = np.where(live, (r - kappa * signs)[idx, cols], 0.0)[:, :, None]
+    try:
+        solved = np.linalg.solve(system, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(solved)):
+        return None
+    theta = np.zeros_like(r)
+    c_on, s_on = np.nonzero(live)
+    theta[idx[c_on, s_on], c_on] = solved[c_on, s_on]
+    grad = r - G @ theta
+    ok = np.where(on, np.abs(grad - kappa * signs) <= _KKT_TOL * kappa,
+                  np.abs(grad) <= kappa * (1.0 + _KKT_TOL))
+    return theta, grad, ok.all(axis=0) & (np.sign(theta) == signs).all(axis=0)
 
 
 def _check_subset(breaks: tuple[int, ...], d: int, T: int) -> None:

@@ -43,6 +43,7 @@ def record(preset, seed) -> dict:
     return {"candidates": list(result.stage1.indices),
             "final_breaks": list(result.final_breaks),
             "stage1_converged": result.stage1_estimate.converged,
+            "stage2_converged": all(f.converged for f in result.stage2.fits),
             "ic": result.stage2.ic}
 
 

@@ -20,4 +20,5 @@ def test_detections_match_the_golden_file(name):
     assert got["candidates"] == want["candidates"]
     assert got["final_breaks"] == want["final_breaks"]
     assert got["stage1_converged"] is want["stage1_converged"]
+    assert got["stage2_converged"] is want["stage2_converged"]
     assert got["ic"] == pytest.approx(want["ic"], rel=1e-9, abs=0.0)

@@ -229,12 +229,17 @@ def test_cli_detect_writes_nothing_to_stderr(small_csv, tmp_path):
     assert done.stderr == ""
 
 
+def _cap_stage2_rounds(monkeypatch):
+    """Leave stage-2 fits uncertified: no Newton chain, one pivot round."""
+    monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(stage2, "_MAX_ROUNDS", 1)
+
+
 def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
                                                    monkeypatch, capsys):
     assert main(["detect", "--input", str(small_csv), "--out",
                  str(tmp_path / "ok"), "--strict"]) == 0
-    monkeypatch.setattr(stage2, "SEGMENT_MAX_PASSES", 1)
-    monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
+    _cap_stage2_rounds(monkeypatch)
     plain, strict = tmp_path / "plain", tmp_path / "strict"
     capsys.readouterr()
     assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
@@ -251,8 +256,7 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
     args = ["evaluate", "--scenario", "1", "--replicates", "1", "--jobs", "1",
             "--strict", "--out", str(tmp_path / "eval")]
     assert main(args) == 0
-    monkeypatch.setattr(stage2, "SEGMENT_MAX_PASSES", 1)
-    monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
+    _cap_stage2_rounds(monkeypatch)
     capsys.readouterr()
     assert main(args) == 3
     assert "did not converge" in capsys.readouterr().err

@@ -130,6 +130,22 @@ def test_detect_memory_guard_counts_stage1_work_arrays(monkeypatch):
     assert detect(data, 2).stage1_estimate.converged
 
 
+def test_detect_memory_guard_counts_stage2_systems(monkeypatch):
+    # q = p*d = 600 coefficients per equation on T - d = 70 rows: stage 1's
+    # eight arrays of 70*q floats fit, but stage 2's q x q segment Gram and
+    # p systems of k x k, k = min(q, T - d) = 70, do not
+    data = np.random.default_rng(4).standard_normal((100, 20))
+    p, q, k = 20, 600, 70
+    monkeypatch.setattr(pipeline, "build_stage1", None)   # reached only past the guard
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * 8 * 70 * q)
+    with pytest.raises(PipelineError, match="^input: stage 2 needs .* segment Gram"):
+        detect(data, 30)
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * (q * q + p * k * k))
+    with pytest.raises(PipelineError) as exc:
+        detect(data, 30)
+    assert exc.value.stage == "stage1"
+
+
 def test_detect_never_builds_the_suffix_arrays(monkeypatch):
     # the suffix arrays, (T - d) * q * (q + p) floats each pair, are built
     # only on access; nothing in detect may read them

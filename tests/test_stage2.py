@@ -17,8 +17,7 @@ from varseg.model import TuningSchedule, effective_sample_size
 from varseg.pipeline import detect, schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
 from varseg.stage1 import CandidateSet
-from varseg.stage2 import (_NEWTON_STEPS, _lasso_gram_cd, _newton_finish,
-                           _segment_lasso, cluster_candidates,
+from varseg.stage2 import (_NEWTON_STEPS, _lasso, cluster_candidates,
                            evaluate_subset, fit_segment, premerge_candidates,
                            select_breaks)
 
@@ -47,46 +46,6 @@ def ar_series(T, phi=0.5, seed=0, sigma=0.1):
     for t in range(1, T):
         y[t] = phi * y[t - 1] + sigma * rng.standard_normal()
     return y
-
-
-# ----------------------------------------------------------- _lasso_gram_cd
-
-CD_REGIMES = ("dense", "all_zero", "sparse", "flat_column", "warm", "one_pass")
-
-
-@given(st.integers(0, 2**32 - 1), st.sampled_from(CD_REGIMES))
-def test_cd_kernel_matches_reference(seed, regime):
-    rng = np.random.default_rng(seed)
-    q, p = int(rng.integers(1, 13)), int(rng.integers(1, 4))
-    m = int(rng.integers(2, 30))
-    X = rng.standard_normal((m, q))
-    if regime == "flat_column":
-        X[:, rng.integers(q)] = 0.0
-    G, r = X.T @ X, X.T @ rng.standard_normal((m, p))
-    r_max = float(np.max(np.abs(r)))
-    kappa = {"dense": 0.0, "all_zero": 1.5 * r_max}.get(
-        regime, float(rng.uniform(0.1, 0.8)) * r_max)
-    theta0 = np.zeros((q, p))
-    if regime == "warm":
-        theta0 = rng.standard_normal((q, p)) * (rng.random((q, p)) < 0.5)
-    max_passes = 1 if regime == "one_pass" else 300
-
-    want, want_ok = lasso_gram_cd_reference(G, r, kappa, theta0.copy(), 1e-12, max_passes)
-    got = theta0.copy()
-    got_ok = False
-    for _ in range(max_passes):
-        if _lasso_gram_cd(G, r, kappa, got) < 1e-12:
-            got_ok = True
-            break
-    assert got_ok == want_ok
-    scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
-    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale
-    np.testing.assert_array_equal(got == 0.0, want == 0.0)
-    # zero rows carry the signed zero of their update, which serialized
-    # coefficients show
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    if regime == "all_zero":
-        assert not got.any()
 
 
 # -------------------------------------------------------------- fit_segment
@@ -137,25 +96,23 @@ def test_fit_segment_reports_convergence(monkeypatch):
     data = piecewise_series(rng, T=60, p=3, d=1, break_at=1_000)
     assert fit_segment(data, (2, 61), d=1, eta=1e-4).converged
     assert fit_segment(data, (2, 61), d=1, eta=0.0).converged
-    # with the Newton chain off, one descent pass cannot finish the fit
-    monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
-    monkeypatch.setattr(stage2, "SEGMENT_MAX_PASSES", 1)
+    # with the Newton chain off, one active-set round cannot finish the fit
+    monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
+    monkeypatch.setattr(stage2, "_MAX_ROUNDS", 1)
     assert not fit_segment(data, (2, 61), d=1, eta=1e-4).converged
 
 
 @pytest.mark.parametrize("c", [1e-3, 1e3])
 def test_fit_segment_is_scale_equivariant(c):
     # c X with c^2 eta scales G, r and kappa alike by c^2: the same lasso,
-    # so theta stays and the SSE scales by c^2.  The first fit certifies
-    # from zero; in the second (nearly collinear columns) descent finishes.
+    # so theta stays and the SSE scales by c^2.  The second fit has nearly
+    # collinear columns.
     rng = np.random.default_rng(0)
     data = piecewise_series(rng, T=60, p=3, d=1, break_at=1_000)
     collinear = data.copy()
     collinear[:, 1] = data[:, 0] + 0.05 * data[:, 1]
-    for X, span, eta, from_zero in ((data, (2, 61), 1e-4, True),
-                                    (collinear, (30, 61), 1e-3, False)):
+    for X, span, eta in ((data, (2, 61), 1e-4), (collinear, (30, 61), 1e-3)):
         base = fit_segment(X, span, 1, eta)
-        assert (base.passes == 0) == from_zero and base.certified == from_zero
         scaled = fit_segment(c * X, span, 1, c * c * eta)
         scale = float(np.max(np.abs(base.theta)))
         assert float(np.max(np.abs(scaled.theta - base.theta))) <= 1e-9 * scale
@@ -179,25 +136,22 @@ def test_segment_lasso_is_optimal(seed, regime):
         X[:, rng.integers(q)] = 0.0
     if regime == "ill_conditioned":
         # nearly collinear columns: the chain from zero mostly fails, so
-        # coordinate descent finishes or restarts it
+        # the active-set pivot finds the signs
         X = rng.standard_normal((m, 1)) + 0.3 * X
     G, r = X.T @ X, X.T @ rng.standard_normal((m, p))
     r_max = float(np.max(np.abs(r)))
     kappa = (1.5 if regime == "all_zero" else float(rng.uniform(0.05, 0.8))) * r_max
 
-    start = None
+    start = np.zeros((q, p))
     if regime == "warm_start":
         # any finite start, on any scale, sparse or not
         start = (rng.standard_normal((q, p)) * 10.0 ** rng.uniform(-3, 3)
                  * (rng.random((q, p)) < rng.uniform(0.2, 1.0)))
         given_start = start.copy()
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage2, "SEGMENT_TOL", 1e-13)
-        mp.setattr(stage2, "SEGMENT_MAX_PASSES", 100_000)
-        theta, passes, converged, certified = _segment_lasso(G, r, kappa, m, start)
+    theta, converged = _lasso(G, r, kappa, m, start)
     assert converged
-    if start is not None:
+    if regime == "warm_start":
         np.testing.assert_array_equal(start, given_start)
     grad = r - G @ theta
     on = theta != 0.0
@@ -209,7 +163,7 @@ def test_segment_lasso_is_optimal(seed, regime):
     scale = max(float(np.max(np.abs(want))), np.finfo(float).tiny)
     assert float(np.max(np.abs(theta - want))) <= 1e-8 * scale
     if regime == "all_zero":
-        assert passes == 0 and certified and not theta.any()
+        assert not theta.any()
 
 
 def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
@@ -224,34 +178,54 @@ def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
         solves.append(a.shape)
         return solve(a, b)
 
-    # a far higher cap: the repeat, not the cap, must end the chain
+    # a far higher cap: the repeat, not the cap, must end the chain; the
+    # pivot then finds the signs, and one more solve gives the fit
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 50)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    assert _newton_finish(G, r, 0.5, np.zeros((2, 1)), 2) is None
-    assert len(solves) == 3 <= _NEWTON_STEPS
-    monkeypatch.undo()
-    monkeypatch.setattr(stage2, "SEGMENT_TOL", 1e-13)
-    theta, passes, converged, _ = _segment_lasso(G, r, 0.5, 2)
-    assert converged and passes >= 1
+    theta, converged = _lasso(G, r, 0.5, 2, np.zeros((2, 1)))
+    assert len(solves) == 3 + 1 and 3 <= _NEWTON_STEPS
+    assert converged
     np.testing.assert_allclose(theta, [[0.5], [0.0]], rtol=0.0, atol=1e-12)
 
 
+def test_pivot_admits_up_to_the_certificate_band(monkeypatch):
+    # with the chain off: an entry at kappa (1 + 5e-7) enters the optimum at
+    # 5e-7 kappa; stage 1's admission band, kappa (1 + 1e-6), would leave it
+    # out and the fit uncertified
+    monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
+    kappa = 2.0
+    r = np.array([[kappa * (1.0 + 5e-7)], [0.5]])
+    theta, converged = _lasso(np.eye(2), r, kappa, 5, np.zeros((2, 1)))
+    assert converged
+    assert theta[0, 0] == pytest.approx(5e-7 * kappa, rel=1e-6) and theta[1, 0] == 0.0
+
+
 def test_newton_finish_keeps_the_search(monkeypatch):
-    # scenario 1, seed 0: the certified finish must leave the search as
-    # plain coordinate descent runs it
+    # scenario 1, seed 0: the chain only shortcuts the active-set pivot, so
+    # with it off every fit and the search keep their bytes
     preset = scenario_preset(1)
     data = simulate(make_scenario(preset, 0))
-    fast = detect(data, preset.d).stage2
-    monkeypatch.setattr(stage2, "_newton_finish", lambda *args: None)
-    plain = detect(data, preset.d).stage2
+    fit = stage2.fit_segment
+
+    def run():
+        fits = []
+
+        def spy(*args, **kw):
+            fits.append(fit(*args, **kw))
+            return fits[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stage2, "fit_segment", spy)
+            return detect(data, preset.d).stage2, fits
+
+    fast, fast_fits = run()
+    monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
+    plain, plain_fits = run()
     assert fast.chosen_breaks == plain.chosen_breaks
-    assert [s for s, _ in fast.search_trace] == [s for s, _ in plain.search_trace]
-    for (_, a), (_, b) in zip(fast.search_trace, plain.search_trace):
-        assert a == pytest.approx(b, rel=1e-12)
-    assert all(f.converged for f in fast.fits + plain.fits)
-    assert any(f.certified for f in fast.fits)
-    assert not any(f.certified for f in plain.fits)
-    assert sum(f.passes for f in fast.fits) < sum(f.passes for f in plain.fits)
+    assert fast.search_trace == plain.search_trace
+    assert [f.range for f in fast_fits] == [f.range for f in plain_fits]
+    assert [f.theta.tobytes() for f in fast_fits] == [f.theta.tobytes() for f in plain_fits]
+    assert all(f.converged for f in fast_fits + plain_fits)
 
 
 def test_certified_fits_do_not_depend_on_the_start(monkeypatch):
@@ -274,14 +248,12 @@ def test_certified_fits_do_not_depend_on_the_start(monkeypatch):
         if len(warm) > 30:
             break
     monkeypatch.undo()
-    both = 0
+    assert len(warm) > 30
     for data, rng, eta, start in warm:
         a = fit_segment(data, rng, preset.d, eta, start=start)
         b = fit_segment(data, rng, preset.d, eta)
-        if a.certified and b.certified:
-            both += 1
-            assert a.theta.tobytes() == b.theta.tobytes(), rng
-    assert len(warm) > 30 and both > len(warm) // 2
+        assert a.converged and b.converged
+        assert a.theta.tobytes() == b.theta.tobytes(), rng
 
 
 def test_fit_with_more_coefficients_than_rows_stays_small():
@@ -299,7 +271,7 @@ def test_fit_with_more_coefficients_than_rows_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fit.certified and fit.converged
+    assert fit.converged
     assert int(np.max(np.count_nonzero(fit.theta, axis=1))) <= 90
     # eight q x q arrays; solving the oversized steps peaks at 34
     assert peak <= 8 * 8 * q * q
