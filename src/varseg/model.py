@@ -12,6 +12,7 @@ segment coefficient is stored as a single p x (p*d) block
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,17 @@ STATIONARITY_TOL = 1e-8
 def effective_sample_size(T: int, d: int) -> int:
     """Sample size n = T - d + 1 entering every tuning-parameter formula."""
     return T - d + 1
+
+
+def integer_times(times, name: str) -> tuple[int, ...]:
+    """The times as ints; TypeError on a float or bool, which int() would coerce.
+
+    operator.index refuses a float but takes a bool, so bools go first.
+    """
+    times = tuple(times)
+    if any(isinstance(t, bool) for t in times):
+        raise TypeError(f"{name} must be integers, not booleans")
+    return tuple(operator.index(t) for t in times)
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:

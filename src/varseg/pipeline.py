@@ -116,7 +116,8 @@ def detect(data: np.ndarray, d: int,
         raise PipelineError("input", "data must be a T x p matrix")
     if not np.all(np.isfinite(X)):
         raise PipelineError("input", "data contains non-finite values")
-    if not isinstance(d, (int, np.integer)) or d < 1:
+    # bool is an int subclass, so True would run as d = 1
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise PipelineError("input", f"lag order d must be an integer >= 1, got {d!r}")
     T = X.shape[0]
     if T <= 3 * d:

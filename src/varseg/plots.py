@@ -6,10 +6,11 @@ bundles yields identical bytes.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import integer_times
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,12 +35,7 @@ class PlotBundle:
                 raise ValueError("series and heatmaps must be finite")
         T = self.series.shape[0]
         for name in ("candidate_markers", "final_markers"):
-            # operator.index refuses a float, which int() would truncate;
-            # it takes a bool as 0 or 1, so bools are refused first
-            marks = getattr(self, name)
-            if any(isinstance(t, bool) for t in marks):
-                raise TypeError(f"{name} must be integers, not booleans")
-            marks = tuple(operator.index(t) for t in marks)
+            marks = integer_times(getattr(self, name), name)
             if any(not (1 <= t <= T) for t in marks):
                 raise ValueError(f"{name} outside [1, {T}]")
             object.__setattr__(self, name, marks)

@@ -11,20 +11,22 @@ sample size:
 Objective: (1/n) ||Y - Z Theta||_F^2 + lambda * sum_b ||theta_b||_1.
 
 The solve is a primal active-set method (Osborne, Presnell & Turlach, IMA
-J. Numer. Anal. 2000), run one response column at a time from zero: it
-admits the worst threshold violator, solves the stationarity equalities on
-the working support, and drops an entry whose sign would cross.  A sparse
-optimum is reached in a few admits and ends with a KKT certificate; a
-solve that ends without one is reported as converged=False.  Residuals and
-coupled gradients come from one raw-row kernel, `_column_residual`.  The
-pricing round that finds no violator also certifies the column and gives
-its residual for the objective, so each support is priced once; the KKT
-audit `kkt_check` runs the kernel afresh.  Each working support keeps its
-masked raw-row columns U and the pivot system's A = U'U and U'y beside
-them, updated by one row and column per admit (as LARS keeps its active
-Gram: Efron, Hastie, Johnstone & Tibshirani, Ann. Statist. 2004), so the
-solve holds O(n * (p*d + k)) bytes for k working entries, never the
-O(n * (p*d)^2) suffix sums.  The estimate is sparse by design and is
+J. Numer. Anal. 2000), run one response column at a time from zero
+(`_solve_column`, which stage 2's segment fits run too, on a segment's
+rows with only the base block): it admits the worst threshold violator,
+solves the stationarity equalities on the working support, and drops an
+entry whose sign would cross.  A sparse optimum is reached in a few
+admits and ends with a KKT certificate; a solve that ends without one is
+reported as converged=False.  Residuals and coupled gradients come from
+one raw-row kernel, `_column_residual`.  The pricing round that finds no
+violator also certifies the column and gives its residual for the
+objective, so each support is priced once; the KKT audit `kkt_check` runs
+the kernel afresh.  Each working support keeps its masked raw-row columns
+U and the pivot system's A = U'U and U'y beside them, updated by one row
+and column per admit (as LARS keeps its active Gram: Efron, Hastie,
+Johnstone & Tibshirani, Ann. Statist. 2004), so the solve holds
+O(n * (p*d + k)) bytes for k working entries, never the O(n * (p*d)^2)
+suffix sums.  The estimate is sparse by design and is
 returned as its nonzero entries, never as a dense array.
 """
 
@@ -155,18 +157,18 @@ def _masked_columns(lag: np.ndarray, bb: np.ndarray, aa: np.ndarray) -> np.ndarr
     return lag[:, aa] * (np.arange(lag.shape[0])[:, None] >= bb)
 
 
-def _column_residual(problem: Stage1Problem, c: int, U: np.ndarray,
+def _column_residual(lag: np.ndarray, y: np.ndarray, U: np.ndarray,
                      xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and coupled gradient of response column c, from raw rows.
+    """Residual and coupled gradient of one response column, from raw rows.
 
-    Entry k adds xv[k] to a lag coefficient from some equation on, and
-    U[:, k] is its masked raw-row column (`_masked_columns`), so the
-    residual is targets[:, c] - U @ xv.  Block b's gradient sums x_l r_l
-    over its rows l >= b: a reverse cumulative sum.  Returns r (n-1,) and
-    the gradient (n-1, p*d); the work is O(n * (p*d + k)) for k entries.
+    lag holds the lag rows and y the column's responses, one per row.
+    Entry k adds xv[k] to a lag coefficient from some row on, and U[:, k]
+    is its masked raw-row column (`_masked_columns`), so the residual is
+    y - U @ xv.  Block b's gradient sums x_l r_l over its rows l >= b: a
+    reverse cumulative sum.  Returns r (rows,) and the gradient (rows,
+    p*d); the work is O(rows * (p*d + k)) for k entries.
     """
-    lag = problem.lagged_rows
-    r = problem.targets[:, c] - U @ xv
+    r = y - U @ xv
     grad = np.multiply(lag, r[:, None])
     np.cumsum(grad[::-1], axis=0, out=grad[::-1])   # in place, from the end
     return r, grad
@@ -175,18 +177,18 @@ def _column_residual(problem: Stage1Problem, c: int, U: np.ndarray,
 class _WorkingSupport:
     """One response column's working support and its pivot system.
 
-    Entry k adds a coefficient to lag coordinate aa[k] from equation bb[k]
-    on, and entered with the gradient sign ss[k].  U[:, k] is its masked
+    Entry k adds a coefficient to lag coordinate aa[k] from row bb[k] on,
+    and entered with the gradient sign ss[k].  U[:, k] is its masked
     raw-row column (`_masked_columns`), held in a buffer that doubles when
     full.  The pivot system on the support is A = U'U with right-hand side
-    U'y - kappa * ss (`rhs`), for y = targets[:, c], and A and U'y are
-    updated rather than rebuilt: an admit adds one column of U, one row
-    and column of A and one entry of U'y, each a sum over the rows the
-    entry affects, in O(n * k); a drop deletes them.
+    U'y - kappa * ss (`rhs`), and A and U'y are updated rather than
+    rebuilt: an admit adds one column of U, one row and column of A and
+    one entry of U'y, each a sum over the rows the entry affects, in
+    O(rows * k); a drop deletes them.
     """
 
-    def __init__(self, problem: Stage1Problem, c: int):
-        self.lag, self.y, self.c = problem.lagged_rows, problem.targets[:, c], c
+    def __init__(self, lag: np.ndarray, y: np.ndarray):
+        self.lag, self.y = lag, y
         self.bb = self.aa = np.empty(0, dtype=np.intp)
         self.ss = self.uy = np.empty(0)
         self.A = np.empty((0, 0))
@@ -290,28 +292,76 @@ def _pivot(A: np.ndarray, rhs: np.ndarray, xv: np.ndarray, ss: np.ndarray,
     return (xv + t_star * step)[~hit], hit, False
 
 
+def _solve_column(lag: np.ndarray, y: np.ndarray, kappa: float, band: float,
+                  blocks: int) -> tuple:
+    """One response column's lasso by the primal active-set method from zero.
+
+    Entry (b, a) adds a coefficient to lag coordinate a from row b on; only
+    blocks b < `blocks` may enter.  Each round pivots on the working support
+    (`_pivot` on the system `_WorkingSupport` keeps, equalities within
+    `_EQ_TOL` kappa) and, at a full step, prices every entry by the raw-row
+    kernel and admits the worst one outside kappa + band; an entry a
+    degenerate pivot dropped never enters again.  The round that admits
+    nothing certifies the column if the support's equalities hold within
+    band and no banned entry lies outside it.  A pivot breakdown or
+    `_MAX_ROUNDS` rounds (read at call time) leave it uncertified; a round
+    admits at most one entry.  Returns (bb, aa, xv, r, certified): the
+    working entries, their values, the residual y - U xv and the
+    certificate.
+    """
+    q = lag.shape[1]
+    work = _WorkingSupport(lag, y)
+    xv = np.empty(0)
+    r = None
+    certified = False
+    price = np.empty((blocks, q))   # |gradient| off the working support, per round
+    for _ in range(_MAX_ROUNDS):
+        if xv.size:
+            moved = _pivot(work.A, work.rhs(kappa), xv, work.ss, _EQ_TOL * kappa)
+            if moved is None:
+                break
+            xv, hit, ban = moved
+            if hit is not None:
+                if ban:
+                    work.ban_b = np.append(work.ban_b, work.bb[hit])
+                    work.ban_a = np.append(work.ban_a, work.aa[hit])
+                work.keep(~hit)
+                continue
+        # full step, or an empty support: certify the column or admit its
+        # worst threshold violator
+        r, grad = _column_residual(lag, y, work.U, xv)
+        np.abs(grad[:blocks], out=price)
+        price[work.bb, work.aa] = -1.0
+        banned_out = False
+        if work.ban_b.size:
+            banned_out = bool(np.any(price[work.ban_b, work.ban_a] > kappa + band))
+            price[work.ban_b, work.ban_a] = -1.0
+        b_, a_ = divmod(int(np.argmax(price)), q)
+        if not price[b_, a_] > kappa + band:
+            certified = not banned_out and not np.any(
+                np.abs(grad[work.bb, work.aa] - kappa * work.ss) > band)
+            break
+        r = None
+        work.admit(b_, a_, np.sign(grad[b_, a_]))
+        xv = np.append(xv, 0.0)
+    if r is None:
+        # left by another exit: this support was never priced
+        r = _column_residual(lag, y, work.U, xv)[0]
+    return work.bb, work.aa, xv, r, certified
+
+
 def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     """Stage-1 solve: the active-set method from zero, column by column.
 
-    Response columns never couple, so each runs the classic primal scheme:
-    pivot on the working support (`_pivot`, on the system `_WorkingSupport`
-    keeps), and at a full step admit the worst threshold violator.  (A
-    support turns singular as its entries approach the equation count:
-    30 of 34, 33 of 35 and 40 of 40 on the oracle gate's instances.)
-
-    A column is certified by the pricing round that finds no violator,
-    from that round's gradient: the equalities met on the support and
-    every other entry, banned ones included, inside the threshold band.
-    That round's residual gives the column's sum of squares; a column that
-    leaves by another exit runs the kernel once more for it.  Those exits
-    leave the solve uncertified: a numerical breakdown on one pivot, or
-    `_MAX_ROUNDS` rounds (read at call time); the busiest column measured,
-    on instance 48 of the oracle gate, used 104 rounds.  A round admits at
-    most one entry, so a support never outgrows the rounds used.  The
-    candidate is adopted when it is certified or when its objective is
-    below zero's, and zero is returned otherwise.
-    converged is the certificate, so an uncertified solve reports
-    converged=False (and `--strict` exits 3).
+    Response columns never couple, so each runs `_solve_column` over all
+    n - 1 blocks with band `_EQ_TOL` kappa, and its residual gives the
+    column's sum of squares.  (A support turns singular as its entries
+    approach the equation count: 30 of 34, 33 of 35 and 40 of 40 on the
+    oracle gate's instances; the busiest column, on its instance 48, used
+    104 rounds.)  The candidate is adopted when it is certified or when its
+    objective is below zero's, and zero is returned otherwise.  converged
+    is the certificate, so an uncertified solve reports converged=False
+    (and `--strict` exits 3).
 
     perfbench times this function by its name and reads the estimate's
     fields, so they keep their names: iterations is always 0, and
@@ -322,9 +372,8 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     """
     if not 0.0 < lam < np.inf:
         raise ValueError(f"lambda must be finite and positive, got {lam}")
-    n, p, q = problem.n, problem.p, problem.p * problem.d
+    n, lag = problem.n, problem.lagged_rows
     kappa = n * lam / 2.0
-    tol_eq = _EQ_TOL * kappa
     # contiguous columns, as the kernel's residuals are: a strided dot sums
     # in another order, and a zero candidate must not beat zero by an ulp
     start = sum(float(t @ t) for t in np.ascontiguousarray(problem.targets.T)) / n
@@ -332,47 +381,11 @@ def bcd_solve(problem: Stage1Problem, lam: float) -> ThetaEstimate:
     support = []
     converged = True
     sse = l1 = 0.0
-    price = np.empty((n - 1, q))    # |gradient| off the working support, per round
-    for c in range(p):
-        work = _WorkingSupport(problem, c)
-        xv = np.empty(0)
-        r = None
-        for _ in range(_MAX_ROUNDS):
-            if xv.size:
-                moved = _pivot(work.A, work.rhs(kappa), xv, work.ss, tol_eq)
-                if moved is None:
-                    break
-                xv, hit, ban = moved
-                if hit is not None:
-                    if ban:
-                        work.ban_b = np.append(work.ban_b, work.bb[hit])
-                        work.ban_a = np.append(work.ban_a, work.aa[hit])
-                    work.keep(~hit)
-                    continue
-            # full step, or an empty support: certify the column or admit
-            # its worst threshold violator
-            r, grad_col = _column_residual(problem, c, work.U, xv)
-            np.abs(grad_col, out=price)
-            price[work.bb, work.aa] = -1.0
-            banned_out = False
-            if work.ban_b.size:
-                banned_out = bool(np.any(price[work.ban_b, work.ban_a] > kappa + tol_eq))
-                price[work.ban_b, work.ban_a] = -1.0
-            b_, a_ = divmod(int(np.argmax(price)), q)
-            if not price[b_, a_] > kappa + tol_eq:
-                # no admit left: certified if the equalities hold and no
-                # banned entry sits outside the band either
-                converged = converged and not banned_out and not np.any(
-                    np.abs(grad_col[work.bb, work.aa] - kappa * work.ss) > tol_eq)
-                break
-            r = None
-            work.admit(b_, a_, np.sign(grad_col[b_, a_]))
-            xv = np.append(xv, 0.0)
-        if r is None:
-            # left by another exit: this support was never priced
-            converged = False
-            r = _column_residual(problem, c, work.U, xv)[0]
-        bb, aa, nz = work.bb, work.aa, xv != 0.0
+    for c in range(problem.p):
+        bb, aa, xv, r, certified = _solve_column(lag, problem.targets[:, c], kappa,
+                                                 _EQ_TOL * kappa, n - 1)
+        converged = converged and certified
+        nz = xv != 0.0
         order = np.lexsort((aa[nz], bb[nz]))
         support.append((bb[nz][order], aa[nz][order], xv[nz][order]))
         sse += float(r @ r)
@@ -403,7 +416,7 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
     inactive_max = 0.0
     for c, (bb, aa, xv) in enumerate(estimate.support):
         U = _masked_columns(problem.lagged_rows, bb, aa)
-        grad = _column_residual(problem, c, U, xv)[1]
+        grad = _column_residual(problem.lagged_rows, problem.targets[:, c], U, xv)[1]
         active[bb] = True
         np.maximum.at(worst, bb, np.abs(grad[bb, aa] - kappa * np.sign(xv)))
         grad[bb, aa] = 0.0

@@ -24,12 +24,13 @@ L_n and IC are those of the refined segmentation.
 
 Each penalized refit (`_lasso`) runs a short primal-dual active-set chain
 from its start (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002); a
-response column the chain never certifies runs stage 1's active-set pivot
-from zero (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).  A fit
-is always a solve on its signs, so a certified fit does not depend on the
-start.  `tests/cd_oracle.py` keeps the coordinate-descent reference the
-fits are checked against, and `tests/search_oracle.py` the subset
-searches and the refine that `select_breaks` is checked against.
+response column the chain never certifies runs stage 1's active-set
+column solver (`stage1._solve_column`; Osborne, Presnell & Turlach, IMA
+J. Numer. Anal. 2000) from zero on the segment's rows.  A fit is always
+a solve on its signs, so a certified fit does not depend on the start.
+`tests/cd_oracle.py` keeps the coordinate-descent reference the fits are
+checked against, and `tests/search_oracle.py` the subset searches and
+the refine that `select_breaks` is checked against.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (TuningSchedule, check_eta, check_schedule,
-                    effective_sample_size)
-from .stage1 import _EQ_TOL, _MAX_ROUNDS, CandidateSet, _lagged_design, _pivot
+                    effective_sample_size, integer_times)
+from .stage1 import CandidateSet, _lagged_design, _solve_column
 
 _NEWTON_STEPS = 4
 _KKT_TOL = 1e-9     # the fit certificate's tolerance, relative to kappa
@@ -69,8 +70,9 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
                 *, start: np.ndarray | None = None) -> SegmentFit:
     """Penalized least-squares fit of one segment's coefficient block.
 
-    rng = (lo, hi) must lie within the response times, d+1 <= lo and
-    hi <= T+1, and hold more than d of them; otherwise ValueError.
+    rng = (lo, hi) must be two integers (otherwise TypeError), lie within
+    the response times, d+1 <= lo and hi <= T+1, and hold more than d of
+    them; otherwise ValueError.
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
     to a plain least-squares solve.  For eta > 0 the lasso is solved from
@@ -81,7 +83,7 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
-    lo, hi = int(rng[0]), int(rng[1])
+    lo, hi = integer_times(rng, "segment range")
     if lo < d + 1 or hi > T + 1:
         raise ValueError(f"segment [{lo}, {hi}) outside the response times "
                          f"[{d + 1}, {T + 1})")
@@ -99,7 +101,7 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
         theta_t, converged = np.linalg.lstsq(A, B, rcond=None)[0], True
     else:
         kappa = effective_sample_size(T, d) * eta / 2.0
-        theta_t, converged = _lasso(A.T @ A, A.T @ B, kappa, A.shape[0], start.T)
+        theta_t, converged = _lasso(A, B, kappa, start.T)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
@@ -107,20 +109,23 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
                       converged=converged)
 
 
-def _lasso(G: np.ndarray, r: np.ndarray, kappa: float, rows: int,
+def _lasso(A: np.ndarray, B: np.ndarray, kappa: float,
            start: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Minimize sum_c [theta_c' G theta_c - 2 r_c' theta_c] + 2 kappa |theta|_1.
+    """Minimize ||B - A theta||_F^2 + 2 kappa |theta|_1: A and B are a segment's rows.
 
-    G and r come from a segment of `rows` response rows.  A semismooth
-    Newton chain runs from start: each of at most `_NEWTON_STEPS` steps
-    (read at call time) solves (`_signed_solve`) on the signs of u =
-    diag(G) theta + (r - G theta) where |u| > kappa, zero elsewhere, and
-    is the fit if certified in every column.  On a repeated sign pattern,
-    a failed solve or at the cap, each column some step certified keeps
-    its signs, the others run `_pivot_column`, and one solve on the
-    combined signs gives theta.  Returns (theta, certified in every
-    column); when that solve fails, the pieces, uncertified.
+    A semismooth Newton chain on G = A'A and r = A'B runs from start: each
+    of at most `_NEWTON_STEPS` steps (read at call time) solves
+    (`_signed_solve`) on the signs of u = diag(G) theta + (r - G theta)
+    where |u| > kappa, zero elsewhere, and is the fit if certified in
+    every column.  On a repeated sign pattern, a failed solve or at the
+    cap, each column some step certified keeps its signs, the others run
+    `_solve_column` on A's rows with block 0 alone (the segment's one
+    coefficient block) and band `_KKT_TOL` kappa, the certificate's, and
+    one solve on the combined signs gives theta.  Returns (theta,
+    certified in every column); when that solve fails, the pieces,
+    uncertified.
     """
+    G, r, rows = A.T @ A, A.T @ B, A.shape[0]
     diag = np.diag(G)[:, None]
     theta, grad = start, r - G @ start
     kept, done = np.zeros_like(r), np.zeros(r.shape[1], dtype=bool)
@@ -140,46 +145,12 @@ def _lasso(G: np.ndarray, r: np.ndarray, kappa: float, rows: int,
         kept[:, ok] = theta[:, ok]
         done |= ok
     for c in np.flatnonzero(~done):
-        S, xv = _pivot_column(G, r[:, c], kappa)
-        kept[S, c] = xv
+        _, aa, xv, _, _ = _solve_column(A, B[:, c], kappa, _KKT_TOL * kappa, 1)
+        kept[aa, c] = xv
     solved = _signed_solve(G, r, kappa, np.sign(kept), rows)
     if solved is None:
         return kept, False
     return solved[0], bool(solved[2].all())
-
-
-def _pivot_column(G: np.ndarray, r: np.ndarray,
-                  kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """One response column's lasso by stage 1's active-set method from zero.
-
-    `stage1.bcd_solve`'s loop in Gram form: `_pivot` on A = G_SS and rhs =
-    r_S - kappa * s, and at a full step the worst entry of r - G[:, S]
-    theta_S outside the certificate's band kappa (1 + `_KKT_TOL`) is
-    admitted (stage 1's wider band can fail the certificate), until none
-    is left, a pivot breaks down, or `_MAX_ROUNDS` rounds (this module's
-    binding, read at call time) have run.  Returns the support S and xv.
-    """
-    S = np.empty(0, dtype=np.intp)
-    ss = xv = np.empty(0)
-    banned = np.zeros(G.shape[0], dtype=bool)
-    for _ in range(_MAX_ROUNDS):
-        if xv.size:
-            moved = _pivot(G[np.ix_(S, S)], r[S] - kappa * ss, xv, ss, _EQ_TOL * kappa)
-            if moved is None:
-                break
-            xv, hit, ban = moved
-            if hit is not None:
-                banned[S[hit]] |= ban
-                S, ss = S[~hit], ss[~hit]
-                continue
-        grad = r - G[:, S] @ xv
-        price = np.abs(grad)
-        price[S] = price[banned] = -1.0
-        a = int(np.argmax(price))
-        if not price[a] > kappa * (1.0 + _KKT_TOL):
-            break
-        S, ss, xv = np.append(S, a), np.append(ss, np.sign(grad[a])), np.append(xv, 0.0)
-    return S, xv
 
 
 def _signed_solve(G: np.ndarray, r: np.ndarray, kappa: float, signs: np.ndarray,
@@ -234,10 +205,14 @@ def _check_subset(breaks: tuple[int, ...], d: int, T: int) -> None:
 def evaluate_subset(data: np.ndarray, breaks, d: int,
                     schedule: TuningSchedule,
                     cache: dict | None = None) -> tuple[float, tuple[SegmentFit, ...]]:
-    """Total penalized loss of one segmentation; fits are cached by range."""
+    """Total penalized loss of one segmentation; fits are cached by range.
+
+    breaks must be integers (otherwise TypeError), strictly increasing,
+    and leave every segment longer than d (otherwise ValueError).
+    """
     X = np.asarray(data, dtype=float)
     T = X.shape[0]
-    breaks = tuple(int(b) for b in breaks)
+    breaks = integer_times(breaks, "breaks")
     _check_subset(breaks, d, T)
     return _subset_loss(X, breaks, d, schedule.eta_n,
                         effective_sample_size(T, d), {} if cache is None else cache)

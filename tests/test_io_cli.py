@@ -230,9 +230,20 @@ def test_cli_detect_writes_nothing_to_stderr(small_csv, tmp_path):
 
 
 def _cap_stage2_rounds(monkeypatch):
-    """Leave stage-2 fits uncertified: no Newton chain, one pivot round."""
+    """Leave stage-2 fits uncertified: no Newton chain, one active-set round.
+
+    Only stage 2's calls run under the cap, so stage 1 still certifies and
+    stage 2 searches a real candidate set.
+    """
+    solve_column = stage2._solve_column
+
+    def capped(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stage1, "_MAX_ROUNDS", 1)
+            return solve_column(*args)
+
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
-    monkeypatch.setattr(stage2, "_MAX_ROUNDS", 1)
+    monkeypatch.setattr(stage2, "_solve_column", capped)
 
 
 def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
@@ -243,7 +254,8 @@ def test_cli_strict_trips_on_stage2_nonconvergence(small_csv, tmp_path,
     plain, strict = tmp_path / "plain", tmp_path / "strict"
     capsys.readouterr()
     assert main(["detect", "--input", str(small_csv), "--out", str(plain)]) == 0
-    assert "stage-2 segment fit did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "stage-2 segment fit did not converge" in err and "stage-1" not in err
     assert main(["detect", "--input", str(small_csv), "--out", str(strict),
                  "--strict"]) == 3
     assert "stage-2" in capsys.readouterr().err
@@ -259,7 +271,9 @@ def test_cli_evaluate_strict_trips_on_stage2_nonconvergence(tmp_path, monkeypatc
     _cap_stage2_rounds(monkeypatch)
     capsys.readouterr()
     assert main(args) == 3
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "1 of 1 replicates: stage-2 segment fit did not converge" in err
+    assert "stage-1" not in err
 
 
 def _cap_active_set_rounds(monkeypatch):

@@ -80,7 +80,7 @@ def test_detect_rejects_bad_input():
     # given schedule
     data = np.random.default_rng(4).standard_normal((40, 2))
     schedule = schedule_for_data(data, 1)
-    for d in (0, -1, 1.5):
+    for d in (0, -1, 1.5, True):
         for given in (None, schedule):
             with pytest.raises(PipelineError, match="^input: lag order d") as exc:
                 detect(data, d, given)

@@ -108,7 +108,8 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
     got = np.empty_like(th)
     for c, (bb, aa, xv) in enumerate(sparse_support(th)):
         U = stage1._masked_columns(problem.lagged_rows, bb, aa)
-        got[:, :, c] = stage1._column_residual(problem, c, U, xv)[1]
+        got[:, :, c] = stage1._column_residual(problem.lagged_rows,
+                                               problem.targets[:, c], U, xv)[1]
     col_l1 = float(np.max(np.sum(np.abs(th), axis=(0, 1))))
     scale = (float(np.max(np.abs(problem.suffix_cross)))
              + float(np.max(np.abs(problem.suffix_gram))) * col_l1)
@@ -121,30 +122,38 @@ def _nnz(est):
     return sum(xv.size for _, _, xv in est.support)
 
 
+def _track_supports(mp):
+    """Record every working support bcd_solve makes; columns run in order."""
+    init, works = stage1._WorkingSupport.__init__, []
+
+    def track(work, lag, y):
+        init(work, lag, y)
+        works.append(work)
+
+    mp.setattr(stage1._WorkingSupport, "__init__", track)
+    return works
+
+
 def _solve_and_pricings(problem, lam):
     """bcd_solve, plus (column, blocks, coords, values) at every kernel call.
 
     The kernel sees the working columns U, not the entries, so they are read
     from the column's working support, and U is checked to be exactly their
-    masked raw-row columns.
+    masked raw-row columns.  The column is the working support's place in
+    solve order, and the kernel is checked to price that column's targets.
     """
-    kernel, init = stage1._column_residual, stage1._WorkingSupport.__init__
-    live, pricings = [], []
+    kernel, pricings = stage1._column_residual, []
 
-    def track(work, problem, c):
-        init(work, problem, c)
-        live.append(work)
-
-    def spy(problem, c, U, xv):
-        work = live[-1]
-        assert work.c == c and xv.shape == work.bb.shape
-        assert np.array_equal(U, stage1._masked_columns(problem.lagged_rows,
-                                                        work.bb, work.aa))
+    def spy(lag, y, U, xv):
+        work, c = live[-1], len(live) - 1
+        assert work.y is y and np.array_equal(y, problem.targets[:, c])
+        assert lag is problem.lagged_rows and xv.shape == work.bb.shape
+        assert np.array_equal(U, stage1._masked_columns(lag, work.bb, work.aa))
         pricings.append((c, work.bb.copy(), work.aa.copy(), xv.copy()))
-        return kernel(problem, c, U, xv)
+        return kernel(lag, y, U, xv)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage1._WorkingSupport, "__init__", track)
+        live = _track_supports(mp)
         mp.setattr(stage1, "_column_residual", spy)
         est = bcd_solve(problem, lam)
     return est, pricings
@@ -296,16 +305,11 @@ def test_degenerate_pivot_bans_the_entry_and_still_certifies():
     T, p, d = (int(rng.integers(lo, hi)) for lo, hi in ((8, 40), (1, 4), (1, 3)))
     assert (T, p, d) == (23, 3, 2)
     problem, lam = build_stage1(np.round(rng.standard_normal((T, p))), d), 0.01
-    init, works = stage1._WorkingSupport.__init__, []
-
-    def track(work, problem, c):
-        init(work, problem, c)
-        works.append(work)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stage1._WorkingSupport, "__init__", track)
+        works = _track_supports(mp)
         est = bcd_solve(problem, lam)
-    assert [(w.c, w.ban_b.tolist(), w.ban_a.tolist()) for w in works
+    assert len(works) == p
+    assert [(c, w.ban_b.tolist(), w.ban_a.tolist()) for c, w in enumerate(works)
             if w.ban_b.size] == [(2, [0], [3])]
     assert est.converged and kkt_check(problem, est, lam).passed
     _assert_trace_matches_oracle(problem, est, lam)
@@ -438,7 +442,9 @@ def test_pivot_systems_match_suffix_gather(instance):
     updates = []
 
     def check(work, kind):
-        A, rhs = suffix_pivot_system(problem, work.c, work.bb, work.aa, work.ss, kappa)
+        c = works.index(work)
+        assert np.array_equal(work.y, problem.targets[:, c])
+        A, rhs = suffix_pivot_system(problem, c, work.bb, work.aa, work.ss, kappa)
         assert A.shape == work.A.shape
         assert float(np.max(np.abs(work.A - A), initial=0.0)) <= tol * lag_sq
         assert float(np.max(np.abs(work.rhs(kappa) - rhs), initial=0.0)) \
@@ -456,6 +462,7 @@ def test_pivot_systems_match_suffix_gather(instance):
         check(work, "drop")
 
     with pytest.MonkeyPatch.context() as mp:
+        works = _track_supports(mp)
         mp.setattr(stage1._WorkingSupport, "admit", admit_spy)
         mp.setattr(stage1._WorkingSupport, "keep", keep_spy)
         assert bcd_solve(problem, lam).converged

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cd_oracle import lasso_gram_cd_reference, soft_threshold
 from conftest import piecewise_series
 from search_oracle import backward_trace, best_subset, refine
-from varseg import stage2
+from varseg import stage1, stage2
 from varseg.model import TuningSchedule, effective_sample_size
 from varseg.pipeline import detect, schedule_for_data
 from varseg.simulate import make_scenario, scenario_preset, simulate
@@ -98,7 +98,7 @@ def test_fit_segment_reports_convergence(monkeypatch):
     assert fit_segment(data, (2, 61), d=1, eta=0.0).converged
     # with the Newton chain off, one active-set round cannot finish the fit
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
-    monkeypatch.setattr(stage2, "_MAX_ROUNDS", 1)
+    monkeypatch.setattr(stage1, "_MAX_ROUNDS", 1)
     assert not fit_segment(data, (2, 61), d=1, eta=1e-4).converged
 
 
@@ -123,8 +123,10 @@ SOLVE_REGIMES = ("dense", "rank_deficient", "flat_column", "all_zero",
                  "one_column", "ill_conditioned", "warm_start")
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(SOLVE_REGIMES))
-def test_segment_lasso_is_optimal(seed, regime):
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SOLVE_REGIMES),
+       st.sampled_from([0, 4]))
+def test_segment_lasso_is_optimal(seed, regime, newton_steps):
+    # with no Newton steps every column runs stage 1's column solver
     rng = np.random.default_rng(seed)
     q, p = int(rng.integers(2, 9)), int(rng.integers(1, 4))
     if regime == "one_column":
@@ -138,7 +140,8 @@ def test_segment_lasso_is_optimal(seed, regime):
         # nearly collinear columns: the chain from zero mostly fails, so
         # the active-set pivot finds the signs
         X = rng.standard_normal((m, 1)) + 0.3 * X
-    G, r = X.T @ X, X.T @ rng.standard_normal((m, p))
+    Y = rng.standard_normal((m, p))
+    G, r = X.T @ X, X.T @ Y
     r_max = float(np.max(np.abs(r)))
     kappa = (1.5 if regime == "all_zero" else float(rng.uniform(0.05, 0.8))) * r_max
 
@@ -149,7 +152,9 @@ def test_segment_lasso_is_optimal(seed, regime):
                  * (rng.random((q, p)) < rng.uniform(0.2, 1.0)))
         given_start = start.copy()
 
-    theta, converged = _lasso(G, r, kappa, m, start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stage2, "_NEWTON_STEPS", newton_steps)
+        theta, converged = _lasso(X, Y, kappa, start)
     assert converged
     if regime == "warm_start":
         np.testing.assert_array_equal(start, given_start)
@@ -168,9 +173,12 @@ def test_segment_lasso_is_optimal(seed, regime):
 
 def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
     # two strongly correlated rows: from zero the chain visits (+,+), then
-    # alternates (+,-), (-,+), (+,-); the optimum is (0.5, 0)
+    # alternates (+,-), (-,+), (+,-); the optimum is (0.5, 0).  The segment
+    # rows are the Cholesky factor of G, with responses giving A'B = r
     G = np.array([[1.0, 0.9], [0.9, 1.0]])
     r = np.array([[1.0], [0.6]])
+    L = np.linalg.cholesky(G)
+    A, B = L.T, np.linalg.solve(L, r)
     solves = []
     solve = np.linalg.solve
 
@@ -179,10 +187,10 @@ def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
         return solve(a, b)
 
     # a far higher cap: the repeat, not the cap, must end the chain; the
-    # pivot then finds the signs, and one more solve gives the fit
+    # column solver then finds the signs, and one more solve gives the fit
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 50)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    theta, converged = _lasso(G, r, 0.5, 2, np.zeros((2, 1)))
+    theta, converged = _lasso(A, B, 0.5, np.zeros((2, 1)))
     assert len(solves) == 3 + 1 and 3 <= _NEWTON_STEPS
     assert converged
     np.testing.assert_allclose(theta, [[0.5], [0.0]], rtol=0.0, atol=1e-12)
@@ -190,12 +198,14 @@ def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
 
 def test_pivot_admits_up_to_the_certificate_band(monkeypatch):
     # with the chain off: an entry at kappa (1 + 5e-7) enters the optimum at
-    # 5e-7 kappa; stage 1's admission band, kappa (1 + 1e-6), would leave it
-    # out and the fit uncertified
+    # 5e-7 kappa; bcd_solve's band, 1e-6 kappa, would leave it out and the
+    # fit uncertified.  Five segment rows, the identity padded with zeros,
+    # so G = I and r is B's top two rows
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 0)
     kappa = 2.0
-    r = np.array([[kappa * (1.0 + 5e-7)], [0.5]])
-    theta, converged = _lasso(np.eye(2), r, kappa, 5, np.zeros((2, 1)))
+    B = np.zeros((5, 1))
+    B[:2, 0] = kappa * (1.0 + 5e-7), 0.5
+    theta, converged = _lasso(np.eye(5, 2), B, kappa, np.zeros((2, 1)))
     assert converged
     assert theta[0, 0] == pytest.approx(5e-7 * kappa, rel=1e-6) and theta[1, 0] == 0.0
 
@@ -361,6 +371,23 @@ def test_evaluate_rejects_bad_subsets():
         evaluate_subset(data, (10, 10), 1, schedule)
     with pytest.raises(ValueError, match="too short"):
         evaluate_subset(data, (10, 11), 1, schedule)
+
+
+def test_segment_times_must_be_integers():
+    # int() would score break 100.7 as 100 and fit range (2.9, 301) as
+    # (2, 301), and take a bool as 0 or 1; numpy integers still pass
+    data = ar_series(300)
+    schedule = make_schedule(eta=1e-4)
+    _, fits = evaluate_subset(data, [np.int64(100)], 1, schedule)
+    assert [f.range for f in fits] == [(2, 100), (100, 301)]
+    assert type(fits[1].range[0]) is int
+    assert fit_segment(data, (np.int64(2), 301), 1, 1e-4).range == (2, 301)
+    for bad in ([100.7], [np.float64(100.0)], [True]):
+        with pytest.raises(TypeError):
+            evaluate_subset(data, bad, 1, schedule)
+    for bad in ((2.9, 301), (2, 301.0), (True, 301)):
+        with pytest.raises(TypeError):
+            fit_segment(data, bad, 1, 1e-4)
 
 
 # ------------------------------------------------------ premerge_candidates
