@@ -60,7 +60,8 @@ class SegmentedVarModel:
     noise_cov : ndarray
         p x p innovation covariance, shared across segments.
 
-    A model is built only if it passes `check_model`.
+    A model is built only if it passes `check_model` (TypeError for a float
+    or bool break point).
     """
 
     p: int
@@ -72,7 +73,7 @@ class SegmentedVarModel:
 
     def __post_init__(self):
         object.__setattr__(self, "break_points",
-                           tuple(int(b) for b in self.break_points))
+                           integer_times(self.break_points, "break points"))
         object.__setattr__(self, "segments",
                            tuple(_frozen_array(s) for s in self.segments))
         object.__setattr__(self, "noise_cov", _frozen_array(self.noise_cov))

@@ -125,14 +125,14 @@ def detect(data: np.ndarray, d: int,
     # stage 1 holds the lagged rows, (T - d) * q floats, and per response
     # column a few work arrays of their size and its working columns (the
     # estimate is only its nonzeros): under eight such arrays in all on
-    # every perfbench workload.  Stage 2's largest system is a segment's
-    # q x q Gram and p batched k x k systems, k <= min(q, segment rows)
+    # every perfbench workload.  Stage 2's largest systems are a segment's q x q
+    # Gram and ridge system and p batched k x k ones, k <= min(q, segment rows)
     p, q = X.shape[1], X.shape[1] * d
     k = min(q, T - d)
     have = _physical_memory()
     for stage, need, what in (
             (1, 8 * 8 * (T - d) * q, "lagged rows and work arrays"),
-            (2, 8 * (q * q + p * k * k), "segment Gram and batched systems")):
+            (2, 8 * (2 * q * q + p * k * k), "segment Gram, ridge and batched systems")):
         if need > have:
             raise PipelineError("input", f"stage {stage} needs {need / 2**30:.1f} GiB of "
                                          f"{what}, more than the {have / 2**30:.1f} GiB "

@@ -50,6 +50,7 @@ def _parse_row(cells: list[str], row_no: int, ncol: int, has_t: bool) -> list[fl
 def ingest_csv(path) -> np.ndarray:
     """Read a series matrix; a leading t/index column and header are optional.
 
+    Every row must be as wide as the header (else the first row), or DataError.
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -70,7 +71,7 @@ def ingest_csv(path) -> np.ndarray:
     body = lines[1:] if has_header else lines
     if not body:
         raise DataError("no data rows")
-    ncol = len(body[0].split(","))
+    ncol = len(first) if has_header else len(body[0].split(","))
     if not has_header and ncol >= 2:
         # headerless: treat the first column as t only if it counts 1..T
         col0 = [ln.split(",")[0].strip() for ln in body]

@@ -15,19 +15,19 @@ representatives, R = ceil(n * gamma_n) apart (`cluster_candidates`).
 Backward elimination searches subsets of the representatives: removing
 break t_i merges only the two segments around it, so each removal is
 scored from the current subset's per-segment losses in O(1), the loss
-of the merged range replacing those of its two halves, and a merged
-range is fitted once, from the length-weighted mean of its two halves'
-fits.  Last, each picked break is refined to the member of its cluster
-that minimises the loss of its two adjacent segments.  The search trace
-lists the searched subsets of representatives; the chosen breaks, fits,
-L_n and IC are those of the refined segmentation.
+of the merged range replacing those of its two halves, and every range
+is fitted once.  Last, each picked break is refined to the member of its
+cluster that minimises the loss of its two adjacent segments.  The
+search trace lists the searched subsets of representatives; the chosen
+breaks, fits, L_n and IC are those of the refined segmentation.
 
 Each penalized refit (`_lasso`) runs a short primal-dual active-set chain
-from its start (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002); a
-response column the chain never certifies runs stage 1's active-set
-column solver (`stage1._solve_column`; Osborne, Presnell & Turlach, IMA
-J. Numer. Anal. 2000) from zero on the segment's rows.  A fit is always
-a solve on its signs, so a certified fit does not depend on the start.
+(Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002) from a soft-thresholded
+ridge point of the segment's own data (`_chain_start`); a response column
+the chain never certifies runs stage 1's active-set column solver
+(`stage1._solve_column`; Osborne, Presnell & Turlach, IMA J. Numer. Anal.
+2000) from zero on the segment's rows.  A fit is always a solve on its
+signs, so a certified fit does not depend on the start.
 `tests/cd_oracle.py` keeps the coordinate-descent reference the fits are
 checked against, and `tests/search_oracle.py` the subset searches and
 the refine that `select_breaks` is checked against.
@@ -66,8 +66,7 @@ class ScreeningResult:
     search_trace: tuple[tuple[tuple[int, ...], float], ...]
 
 
-def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
-                *, start: np.ndarray | None = None) -> SegmentFit:
+def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float) -> SegmentFit:
     """Penalized least-squares fit of one segment's coefficient block.
 
     rng = (lo, hi) must be two integers (otherwise TypeError), lie within
@@ -75,14 +74,12 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     them; otherwise ValueError.
     Lag vectors come from the raw series, so the first responses of a
     segment may reach back across the previous break.  eta = 0 falls back
-    to a plain least-squares solve.  For eta > 0 the lasso is solved from
-    `start`, a finite p x (p*d) block in `theta`'s orientation (zero when
-    None), and the fit is converged when it passes the KKT certificate; a
-    certified fit is the same, to the byte, from any start.  Only the
-    segment's rows of the lagged design are built.
+    to a plain least-squares solve; for eta > 0 the fit is `_lasso`'s, and
+    converged when it passes the KKT certificate.  Only the segment's rows
+    of the lagged design are built.
     """
     X = np.asarray(data, dtype=float)
-    T, p = X.shape
+    T = X.shape[0]
     lo, hi = integer_times(rng, "segment range")
     if lo < d + 1 or hi > T + 1:
         raise ValueError(f"segment [{lo}, {hi}) outside the response times "
@@ -90,9 +87,6 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
     if hi - lo <= d:
         raise ValueError(f"segment [{lo}, {hi}) too short for d={d}")
     check_eta(eta)
-    start = np.zeros((p, p * d)) if start is None else np.asarray(start, dtype=float)
-    if start.shape != (p, p * d) or not np.all(np.isfinite(start)):
-        raise ValueError(f"start must be a finite {p} x {p * d} array")
     # response time t occupies design row t - 1 - d, whose lags reach back
     # d rows of the series
     A, B = _lagged_design(X[lo - 1 - d:hi - 1], d)
@@ -101,7 +95,7 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
         theta_t, converged = np.linalg.lstsq(A, B, rcond=None)[0], True
     else:
         kappa = effective_sample_size(T, d) * eta / 2.0
-        theta_t, converged = _lasso(A, B, kappa, start.T)
+        theta_t, converged = _lasso(A, B, kappa)
     resid = B - A @ theta_t
     return SegmentFit(range=(lo, hi), theta=theta_t.T,
                       sse=float(np.sum(resid * resid)),
@@ -109,25 +103,25 @@ def fit_segment(data: np.ndarray, rng: tuple[int, int], d: int, eta: float,
                       converged=converged)
 
 
-def _lasso(A: np.ndarray, B: np.ndarray, kappa: float,
-           start: np.ndarray) -> tuple[np.ndarray, bool]:
+def _lasso(A: np.ndarray, B: np.ndarray, kappa: float) -> tuple[np.ndarray, bool]:
     """Minimize ||B - A theta||_F^2 + 2 kappa |theta|_1: A and B are a segment's rows.
 
-    A semismooth Newton chain on G = A'A and r = A'B runs from start: each
-    of at most `_NEWTON_STEPS` steps (read at call time) solves
-    (`_signed_solve`) on the signs of u = diag(G) theta + (r - G theta)
-    where |u| > kappa, zero elsewhere, and is the fit if certified in
-    every column.  On a repeated sign pattern, a failed solve or at the
-    cap, each column some step certified keeps its signs, the others run
-    `_solve_column` on A's rows with block 0 alone (the segment's one
-    coefficient block) and band `_KKT_TOL` kappa, the certificate's, and
-    one solve on the combined signs gives theta.  Returns (theta,
-    certified in every column); when that solve fails, the pieces,
-    uncertified.
+    A semismooth Newton chain on G = A'A and r = A'B runs from
+    `_chain_start`: each of at most `_NEWTON_STEPS` steps (read at call
+    time) solves (`_signed_solve`) on the signs of
+    u = diag(G) theta + (r - G theta) where |u| > kappa, zero elsewhere,
+    and is the fit if certified in every column.  On a repeated sign
+    pattern, a failed solve or at the cap, each column some step certified
+    keeps its signs, the others run `_solve_column` on A's rows with block
+    0 alone (the segment's one coefficient block) and band `_KKT_TOL`
+    kappa, the certificate's, and one solve on the combined signs gives
+    theta.  Returns (theta, certified in every column); when that solve
+    fails, the pieces, uncertified.
     """
     G, r, rows = A.T @ A, A.T @ B, A.shape[0]
     diag = np.diag(G)[:, None]
-    theta, grad = start, r - G @ start
+    theta = _chain_start(G, r, kappa)
+    grad = r - G @ theta
     kept, done = np.zeros_like(r), np.zeros(r.shape[1], dtype=bool)
     seen: list[np.ndarray] = []
     for _ in range(_NEWTON_STEPS):
@@ -151,6 +145,20 @@ def _lasso(A: np.ndarray, B: np.ndarray, kappa: float,
     if solved is None:
         return kept, False
     return solved[0], bool(solved[2].all())
+
+
+def _chain_start(G: np.ndarray, r: np.ndarray, kappa: float) -> np.ndarray:
+    """The ridge point (G + kappa I)^-1 r soft-thresholded by kappa / diag(G),
+    0 where diag(G) is 0; all 0 if G + kappa I is singular in floating point."""
+    ridge = G.copy()
+    ridge[np.diag_indices_from(ridge)] += kappa
+    try:
+        z = np.linalg.solve(ridge, r)
+    except np.linalg.LinAlgError:
+        return np.zeros_like(r)
+    diag = np.diag(G)[:, None]
+    cut = np.divide(kappa, diag, out=np.full_like(diag, np.inf), where=diag > 0.0)
+    return np.sign(z) * np.maximum(np.abs(z) - cut, 0.0)
 
 
 def _signed_solve(G: np.ndarray, r: np.ndarray, kappa: float, signs: np.ndarray,
@@ -294,13 +302,13 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     representatives: it starts from the full set and greedily removes the
     one whose removal decreases the IC most, stops when no removal does,
     and scores the empty set if no level reached it.  The current subset's
-    segment fits and losses (sse + n * eta * l1_norm) are kept in lists,
-    so removing break i is scored in O(1) as
+    segment losses (sse + n * eta * l1_norm) are kept in a list, so
+    removing break i is scored in O(1) as
 
         IC = L - loss_i - loss_{i+1} + loss(merged_i) + (m - 1) * omega,
 
-    merged_i the fit of the range the removal leaves, fitted once from the
-    length-weighted mean of the two fits it replaces.  L is re-summed after
+    merged_i the range the removal leaves; every range is fitted once, and
+    the refine below reuses the search's fits.  L is re-summed after
     each accepted removal, which stops rounding drift.  The trace holds the
     full set, then each level's options in index order.  Ties break toward
     the smaller (IC, subset) within a level, and toward fewer breaks, then
@@ -328,21 +336,12 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     _check_subset(current, d, T)
     cache: dict = {}
 
-    def loss(fit: SegmentFit) -> float:
+    def loss(lo: int, hi: int) -> float:
+        fit = _cached_fit(X, (lo, hi), d, eta, cache)
         return fit.sse + charge * fit.l1_norm
 
-    def merged_fit(i: int) -> SegmentFit:
-        lo, mid, hi = bounds[i:i + 3]
-        fit = cache.get((lo, hi))
-        if fit is None:
-            start = ((mid - lo) * fits[i].theta
-                     + (hi - mid) * fits[i + 1].theta) / (hi - lo)
-            fit = cache[lo, hi] = fit_segment(X, (lo, hi), d, eta, start=start)
-        return fit
-
     bounds = [d + 1, *current, T + 1]
-    fits = list(_subset_loss(X, current, d, eta, n, cache)[1])
-    losses = [loss(f) for f in fits]
+    losses = [loss(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     L = sum(losses)
     current_val = _ic(L, len(current), omega)
     trace = [(current, current_val)]
@@ -350,17 +349,16 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
         m = len(current)
         options = []
         for i in range(m):
-            val = _ic(L - losses[i] - losses[i + 1] + loss(merged_fit(i)), m - 1, omega)
+            merged = loss(bounds[i], bounds[i + 2])
+            val = _ic(L - losses[i] - losses[i + 1] + merged, m - 1, omega)
             subset = current[:i] + current[i + 1:]
             trace.append((subset, val))
             options.append((val, subset, i))
         cand_val, cand_subset, i = min(options)
         if cand_val >= current_val:
             break
-        merged = merged_fit(i)
+        losses[i:i + 2] = [loss(bounds[i], bounds[i + 2])]
         del bounds[i + 1]
-        fits[i:i + 2] = [merged]
-        losses[i:i + 2] = [loss(merged)]
         L = sum(losses)
         current, current_val = cand_subset, cand_val
     if trace[-1][0]:
@@ -369,14 +367,10 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
 
     _, _, picked = min((val, (len(s), s), s) for s, val in trace)
 
-    def split_loss(lo: int, t: int, hi: int) -> float:
-        return (loss(_cached_fit(X, (lo, t), d, eta, cache))
-                + loss(_cached_fit(X, (t, hi), d, eta, cache)))
-
     best: list[int] = []
     for t, hi in zip(picked, (*picked[1:], T + 1)):
         lo = best[-1] if best else d + 1
-        best.append(min(clusters[t], key=lambda u: (split_loss(lo, u, hi), u != t)))
+        best.append(min(clusters[t], key=lambda u: (loss(lo, u) + loss(u, hi), u != t)))
     L_best, best_fits = _subset_loss(X, tuple(best), d, eta, n, cache)
     ic = _ic(L_best, len(best), omega)
     return ScreeningResult(chosen_breaks=tuple(best), L_n=float(L_best), ic=float(ic),

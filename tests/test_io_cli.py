@@ -74,6 +74,18 @@ def test_csv_error_positions(tmp_path):
         ingest_csv(hole)
 
 
+def test_csv_rows_must_match_the_header_width(tmp_path, capsys):
+    # a row narrower or wider than its header would drop or invent a column
+    for text, want, got in (("t,y1,y2\n1,0.5\n2,0.25\n", 3, 2),
+                            ("y1,y2\n0.5\n0.25\n", 2, 1),
+                            ("y1\n0.5,1\n0.25,2\n", 1, 2)):
+        path = _write(tmp_path / "x.csv", text)
+        with pytest.raises(DataError, match=f"^row 2: expected {want} columns, got {got}$"):
+            ingest_csv(path)
+        assert main(["detect", "--input", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"row 2: expected {want} columns" in capsys.readouterr().err
+
+
 def test_csv_empty_inputs(tmp_path):
     with pytest.raises(DataError, match="empty"):
         ingest_csv(_write(tmp_path / "a.csv", ""))

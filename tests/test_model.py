@@ -143,6 +143,14 @@ def test_invalid_model_is_refused_when_built(fields, reason):
         SegmentedVarModel(**{**kwargs, **fields})
 
 
+def test_model_refuses_break_points_that_are_not_integers():
+    # int() would truncate 100.7 to a break at 100, and read True as 1
+    for breaks in ((50.7,), (50.0,), (True,)):
+        with pytest.raises(TypeError):
+            banded_model(breaks)
+    assert banded_model((np.int64(50),)).break_points == (50,)
+
+
 @given(st.integers(min_value=5, max_value=2000), st.integers(min_value=1, max_value=50),
        st.integers(min_value=1, max_value=3))
 def test_schedule_positive_property(n, p, d):

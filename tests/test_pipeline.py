@@ -133,14 +133,18 @@ def test_detect_memory_guard_counts_stage1_work_arrays(monkeypatch):
 def test_detect_memory_guard_counts_stage2_systems(monkeypatch):
     # q = p*d = 600 coefficients per equation on T - d = 70 rows: stage 1's
     # eight arrays of 70*q floats fit, but stage 2's q x q segment Gram and
-    # p systems of k x k, k = min(q, T - d) = 70, do not
+    # ridge system and p systems of k x k, k = min(q, T - d) = 70, do not
     data = np.random.default_rng(4).standard_normal((100, 20))
     p, q, k = 20, 600, 70
     monkeypatch.setattr(pipeline, "build_stage1", None)   # reached only past the guard
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * 8 * 70 * q)
     with pytest.raises(PipelineError, match="^input: stage 2 needs .* segment Gram"):
         detect(data, 30)
-    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * (q * q + p * k * k))
+    need = 8 * (2 * q * q + p * k * k)
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
+    with pytest.raises(PipelineError, match="^input: stage 2 needs .* segment Gram"):
+        detect(data, 30)
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
     with pytest.raises(PipelineError) as exc:
         detect(data, 30)
     assert exc.value.stage == "stage1"

@@ -1,0 +1,20 @@
+"""The README's Python examples run as written, so an API change that
+breaks one fails here rather than in a reader's session."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_examples():
+    assert len(BLOCKS) >= 2
+
+
+@pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_python_block_runs(source):
+    exec(compile(source, str(README), "exec"), {"__name__": "readme_example"})

@@ -137,24 +137,23 @@ def test_segment_lasso_is_optimal(seed, regime, newton_steps):
     if regime == "flat_column":
         X[:, rng.integers(q)] = 0.0
     if regime == "ill_conditioned":
-        # nearly collinear columns: the chain from zero mostly fails, so
-        # the active-set pivot finds the signs
+        # nearly collinear columns: the chain mostly fails, so the
+        # active-set pivot finds the signs
         X = rng.standard_normal((m, 1)) + 0.3 * X
     Y = rng.standard_normal((m, p))
     G, r = X.T @ X, X.T @ Y
     r_max = float(np.max(np.abs(r)))
     kappa = (1.5 if regime == "all_zero" else float(rng.uniform(0.05, 0.8))) * r_max
 
-    start = np.zeros((q, p))
-    if regime == "warm_start":
-        # any finite start, on any scale, sparse or not
-        start = (rng.standard_normal((q, p)) * 10.0 ** rng.uniform(-3, 3)
-                 * (rng.random((q, p)) < rng.uniform(0.2, 1.0)))
-        given_start = start.copy()
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stage2, "_NEWTON_STEPS", newton_steps)
-        theta, converged = _lasso(X, Y, kappa, start)
+        if regime == "warm_start":
+            # any finite start, on any scale, sparse or not
+            start = (rng.standard_normal((q, p)) * 10.0 ** rng.uniform(-3, 3)
+                     * (rng.random((q, p)) < rng.uniform(0.2, 1.0)))
+            given_start = start.copy()
+            mp.setattr(stage2, "_chain_start", lambda G, r, kappa: start)
+        theta, converged = _lasso(X, Y, kappa)
     assert converged
     if regime == "warm_start":
         np.testing.assert_array_equal(start, given_start)
@@ -189,8 +188,9 @@ def test_newton_chain_stops_on_a_repeated_sign_pattern(monkeypatch):
     # a far higher cap: the repeat, not the cap, must end the chain; the
     # column solver then finds the signs, and one more solve gives the fit
     monkeypatch.setattr(stage2, "_NEWTON_STEPS", 50)
+    monkeypatch.setattr(stage2, "_chain_start", lambda G, r, kappa: np.zeros_like(r))
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    theta, converged = _lasso(A, B, 0.5, np.zeros((2, 1)))
+    theta, converged = _lasso(A, B, 0.5)
     assert len(solves) == 3 + 1 and 3 <= _NEWTON_STEPS
     assert converged
     np.testing.assert_allclose(theta, [[0.5], [0.0]], rtol=0.0, atol=1e-12)
@@ -205,7 +205,7 @@ def test_pivot_admits_up_to_the_certificate_band(monkeypatch):
     kappa = 2.0
     B = np.zeros((5, 1))
     B[:2, 0] = kappa * (1.0 + 5e-7), 0.5
-    theta, converged = _lasso(np.eye(5, 2), B, kappa, np.zeros((2, 1)))
+    theta, converged = _lasso(np.eye(5, 2), B, kappa)
     assert converged
     assert theta[0, 0] == pytest.approx(5e-7 * kappa, rel=1e-6) and theta[1, 0] == 0.0
 
@@ -239,31 +239,43 @@ def test_newton_finish_keeps_the_search(monkeypatch):
 
 
 def test_certified_fits_do_not_depend_on_the_start(monkeypatch):
-    # scenario 1, seeds from 0 until more than 30 warm starts are pooled:
-    # every merged range the search scores, refitted from its
-    # neighbour-mean start and from zero
+    # scenario 1, seeds from 0 until more than 30 fits are pooled: every
+    # fit the search makes, from the chain's own start and from zero
     preset = scenario_preset(1)
-    calls = []
+    fits = []
     fit = stage2.fit_segment
 
-    def spy(X, rng, d, eta, **kw):
-        calls.append((X, rng, eta, kw.get("start")))
-        return fit(X, rng, d, eta, **kw)
+    def spy(X, rng, d, eta):
+        fits.append((X, rng, eta, fit(X, rng, d, eta)))
+        return fits[-1][3]
 
     monkeypatch.setattr(stage2, "fit_segment", spy)
-    warm = []
     for seed in range(20):
         detect(simulate(make_scenario(preset, seed)), preset.d)
-        warm = [c for c in calls if c[3] is not None]
-        if len(warm) > 30:
+        if len(fits) > 30:
             break
     monkeypatch.undo()
-    assert len(warm) > 30
-    for data, rng, eta, start in warm:
-        a = fit_segment(data, rng, preset.d, eta, start=start)
+    assert len(fits) > 30
+    monkeypatch.setattr(stage2, "_chain_start", lambda G, r, kappa: np.zeros_like(r))
+    for data, rng, eta, a in fits:
         b = fit_segment(data, rng, preset.d, eta)
         assert a.converged and b.converged
         assert a.theta.tobytes() == b.theta.tobytes(), rng
+
+
+def test_chain_start_edge_cases():
+    # a zero column has diag(G) = 0 and starts at 0, with no divide
+    # warning; two equal columns and kappa below G's rounding make
+    # G + kappa I singular, and the chain then starts from zero
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 0.0], [0.5, 0.5, 0.0]])
+    G, r = A.T @ A, A.T @ np.array([[1.0], [2.0], [0.1]])
+    with np.errstate(all="raise"):
+        start = stage2._chain_start(G, r, 0.5)
+    assert start[:2].all() and start[2, 0] == 0.0
+    assert not stage2._chain_start(G, r, 1e-20).any()
+    # so a fit of two equal series at a tiny eta runs rather than raise
+    x = np.random.default_rng(0).standard_normal(40)
+    assert fit_segment(np.column_stack([x, x]), (2, 41), 1, 1e-300).theta.shape == (2, 2)
 
 
 def test_fit_with_more_coefficients_than_rows_stays_small():
@@ -285,17 +297,6 @@ def test_fit_with_more_coefficients_than_rows_stays_small():
     assert int(np.max(np.count_nonzero(fit.theta, axis=1))) <= 90
     # eight q x q arrays; solving the oversized steps peaks at 34
     assert peak <= 8 * 8 * q * q
-
-
-def test_fit_segment_rejects_a_bad_start():
-    rng = np.random.default_rng(2)
-    data = piecewise_series(rng, T=60, p=2, d=2, break_at=1_000)
-    ok = np.zeros((2, 4))
-    fit_segment(data, (3, 61), d=2, eta=1e-3, start=ok)
-    for bad in (ok.T, ok[:, :2], np.zeros(8), np.full((2, 4), np.nan),
-                np.where(np.eye(2, 4) > 0, np.inf, 0.0)):
-        with pytest.raises(ValueError, match="start"):
-            fit_segment(data, (3, 61), d=2, eta=1e-3, start=bad)
 
 
 def test_fit_segment_errors():
