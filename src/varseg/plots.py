@@ -72,22 +72,33 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _heat_color(v: float, vmax: float) -> str:
-    # symmetric blue-white-red scale
+def _fmts(a: np.ndarray) -> list[str]:
+    return [_fmt(x) for x in a.tolist()]
+
+
+def _heat_colors(heat: np.ndarray, vmax: float) -> list[list[str]]:
+    """Each cell's fill on a symmetric blue-white-red scale, row by row."""
     if vmax <= 0:
-        return "#ffffff"
-    u = max(-1.0, min(1.0, v / vmax))
-    if u >= 0:
-        r, g, b = 255, round(255 * (1 - u)), round(255 * (1 - u))
-    else:
-        r, g, b = round(255 * (1 + u)), round(255 * (1 + u)), 255
-    return f"#{r:02x}{g:02x}{b:02x}"
+        return [["#ffffff"] * heat.shape[1]] * heat.shape[0]
+    u = np.clip(heat / vmax, -1.0, 1.0)
+    # 1 + u is 1 - |u| for u < 0; np.round, like round, takes halves to even
+    level = np.round(255 * (1 - np.abs(u))).astype(int)
+    # 0xRRGGBB: red 255 and green = blue = level for u >= 0, else blue 255
+    rgb = np.where(u >= 0, 0xff0000 + level * 0x000101, level * 0x010100 + 0x0000ff)
+    return [[f"#{c:06x}" for c in row] for row in rgb.tolist()]
 
 
 def render_svg(bundle: PlotBundle, path) -> None:
-    """Series panel with break markers, plus one heatmap per segment."""
+    """Series panel with break markers, plus one heatmap per segment.
+
+    Pixel coordinates are computed for whole arrays, element by element with
+    the same IEEE operations in the same order as a scalar formula would
+    apply them (e.g. pad + (hi - v) / (hi - lo) * panel_h), so each is the
+    same double and prints the same "%.2f" text: the bytes do not depend on
+    whether a coordinate was computed alone or in an array.
+    """
     X = bundle.series
-    T, p = X.shape
+    T = X.shape[0]
     width, panel_h, pad = 900.0, 280.0, 40.0
     heat_h = 180.0 if bundle.heatmaps else 0.0
     height = panel_h + heat_h + 3 * pad
@@ -96,28 +107,24 @@ def render_svg(bundle: PlotBundle, path) -> None:
     if hi <= lo:
         hi = lo + 1.0
     sx = (width - 2 * pad) / max(T - 1, 1)
-
-    def xpix(t):      # 1-based time to pixel
-        return pad + (t - 1) * sx
-
-    def ypix(v):
-        return pad + (hi - v) / (hi - lo) * panel_h
+    xs = _fmts(pad + np.arange(T) * sx)          # time t at xs[t - 1]
+    ys = pad + (hi - X) / (hi - lo) * panel_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="#ffffff"/>',
     ]
-    for j in range(p):
-        pts = " ".join(f"{_fmt(xpix(t + 1))},{_fmt(ypix(X[t, j]))}" for t in range(T))
-        parts.append(f'<polyline points="{pts}" fill="none" '
+    points = " ".join(x + ",%.2f" for x in xs)   # one format for every series
+    for col in ys.T.tolist():
+        parts.append(f'<polyline points="{points % tuple(col)}" fill="none" '
                      f'stroke="#4878a8" stroke-opacity="0.35" stroke-width="0.8"/>')
     y0, y1 = _fmt(pad), _fmt(pad + panel_h)
     for t in bundle.candidate_markers:
-        parts.append(f'<line x1="{_fmt(xpix(t))}" x2="{_fmt(xpix(t))}" y1="{y0}" '
+        parts.append(f'<line x1="{xs[t - 1]}" x2="{xs[t - 1]}" y1="{y0}" '
                      f'y2="{y1}" stroke="#999999" stroke-dasharray="4,3"/>')
     for t in bundle.final_markers:
-        parts.append(f'<line x1="{_fmt(xpix(t))}" x2="{_fmt(xpix(t))}" y1="{y0}" '
+        parts.append(f'<line x1="{xs[t - 1]}" x2="{xs[t - 1]}" y1="{y0}" '
                      f'y2="{y1}" stroke="#c23b22" stroke-width="1.6"/>')
 
     if bundle.heatmaps:
@@ -125,16 +132,16 @@ def render_svg(bundle: PlotBundle, path) -> None:
         vmax = max(float(np.max(np.abs(h))) for h in bundle.heatmaps)
         top = panel_h + 2 * pad
         slot = (width - 2 * pad) / n_seg
+        gap = min(pad, slot / 2)     # keeps cells positive however many slots
         for s, heat in enumerate(bundle.heatmaps):
             rows, cols = heat.shape
-            cw = min((slot - pad) / cols, heat_h / rows)
-            ox = pad + s * slot
-            for i in range(rows):
-                for j in range(cols):
-                    parts.append(
-                        f'<rect x="{_fmt(ox + j * cw)}" y="{_fmt(top + i * cw)}" '
-                        f'width="{_fmt(cw)}" height="{_fmt(cw)}" '
-                        f'fill="{_heat_color(heat[i, j], vmax)}"/>')
+            cw = min((slot - gap) / cols, heat_h / rows)
+            cx = _fmts(pad + s * slot + np.arange(cols) * cw)
+            cy = _fmts(top + np.arange(rows) * cw)
+            size = _fmt(cw)
+            for y, fills in zip(cy, _heat_colors(heat, vmax)):
+                parts.extend(f'<rect x="{x}" y="{y}" width="{size}" height="{size}" '
+                             f'fill="{fill}"/>' for x, fill in zip(cx, fills))
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

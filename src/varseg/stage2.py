@@ -166,35 +166,44 @@ def _signed_solve(G: np.ndarray, r: np.ndarray, kappa: float, signs: np.ndarray,
     """Solve G_SS theta_S = r_S - kappa * signs_S on each column's support S.
 
     The support rows are gathered into a k x k system, k the largest
-    support, padded with the identity and a zero right-hand side, so one
-    batched solve covers every column; entries off the support are +0.0,
-    so the solve depends only on (G, r, kappa) and the signs.  Returns
-    (theta, grad = r - G theta, certified), the KKT certificate per column:
-    theta has the signs, |grad| <= kappa (1 + `_KKT_TOL`) on zero entries,
-    and the support equalities hold within `_KKT_TOL` kappa.  None for a
-    singular or non-finite solve, or a support larger than `rows` (G has
-    rank at most rows; a lasso optimum in general position has no more).
+    support, so one batched solve covers every column.  The gather indexes
+    the augmented Gram [[G, 0], [0, I_k]] and right-hand side
+    [r - kappa signs; 0]: a column with fewer than k entries takes rows
+    q, ..., q + k - 1 for its padding, an identity block with a zero
+    right-hand side, and its solution there lands in rows of theta that are
+    dropped.  Entries off the support are +0.0, so the solve depends only
+    on (G, r, kappa) and the signs.  Returns (theta, grad = r - G theta,
+    certified), the KKT certificate per column: theta has the signs,
+    |grad| <= kappa (1 + `_KKT_TOL`) on zero entries, and the support
+    equalities hold within `_KKT_TOL` kappa.  None for a singular or
+    non-finite solve, or a support larger than `rows` (G has rank at most
+    rows; a lasso optimum in general position has no more).
     """
-    cols = np.arange(r.shape[1])[:, None]
+    q, p = r.shape
+    cols = np.arange(p)[:, None]
     on = signs != 0.0
     count = on.sum(axis=0)
     k = int(count.max())
     if k > rows:
         return None
-    idx = np.argsort(~on, axis=0, kind="stable")[:k].T   # p x k, support first
-    live = np.arange(k) < count[:, None]
-    system = np.where(live[:, :, None] & live[:, None, :],
-                      G[idx[:, :, None], idx[:, None, :]], np.eye(k))
-    rhs = np.where(live, (r - kappa * signs)[idx, cols], 0.0)[:, :, None]
+    slots = np.arange(k)
+    idx = np.where(slots < count[:, None],                # p x k, support first
+                   np.argsort(~on, axis=0, kind="stable")[:k].T, q + slots)
+    gram = np.zeros((q + k, q + k))
+    gram[:q, :q] = G
+    gram[q + slots, q + slots] = 1.0
+    rhs = np.zeros((q + k, p))
+    rhs[:q] = r - kappa * signs
     try:
-        solved = np.linalg.solve(system, rhs)[:, :, 0]
+        solved = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]],
+                                 rhs[idx, cols][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(solved)):
         return None
-    theta = np.zeros_like(r)
-    c_on, s_on = np.nonzero(live)
-    theta[idx[c_on, s_on], c_on] = solved[c_on, s_on]
+    theta = np.zeros((q + k, p))
+    theta[idx, cols] = solved
+    theta = theta[:q]
     grad = r - G @ theta
     ok = np.where(on, np.abs(grad - kappa * signs) <= _KKT_TOL * kappa,
                   np.abs(grad) <= kappa * (1.0 + _KKT_TOL))

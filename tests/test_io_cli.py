@@ -1,6 +1,7 @@
 """Serialization round trips, CSV ingestion, SVG output, and the CLI."""
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -149,12 +150,13 @@ def test_plot_bundle_dict_round_trip():
     np.testing.assert_array_equal(back.heatmaps[0], bundle.heatmaps[0])
 
 
-def test_render_svg_well_formed_and_deterministic(tmp_path):
+@pytest.mark.parametrize("n_heat", [2, 25])
+def test_render_svg_well_formed_and_deterministic(tmp_path, n_heat):
     rng = np.random.default_rng(3)
     bundle = PlotBundle(series=rng.standard_normal((30, 3)),
                         final_markers=(15,),
-                        heatmaps=(rng.standard_normal((3, 3)),
-                                  rng.standard_normal((3, 3))))
+                        heatmaps=tuple(rng.standard_normal((3, 3))
+                                       for _ in range(n_heat)))
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(bundle, a)
     render_svg(bundle, b)
@@ -164,6 +166,29 @@ def test_render_svg_well_formed_and_deterministic(tmp_path):
     body = a.read_text()
     assert body.count("<polyline") == 3
     assert '#c23b22' in body       # the final-break marker stroke
+    rects = [e for e in root.iter() if e.tag.endswith("rect")]
+    assert len(rects) == 1 + 9 * n_heat
+    assert all(float(e.get(k)) > 0 for e in rects for k in ("width", "height"))
+
+
+def test_render_svg_bytes_are_pinned(tmp_path):
+    # Pins the output format.  Heat values sit at +-vmax, +-vmax/2
+    # (255 * 0.5 = 127.5 must round to 128), 0 and -0.0; the second bundle
+    # has a flat series and all-zero heatmaps.
+    series = np.array([[0.0, 1.5, -2.25], [0.5, -1.0, 3.0], [-0.75, 2.0, 0.125],
+                       [1.25, -3.5, 0.0], [2.5, 0.25, -1.125], [-1.5, 0.75, 1.0]])
+    heat = np.array([[2.0, -2.0, 1.0, -1.0], [0.0, -0.0, 0.3, -1.7]])
+    bundles = {
+        "aaae03f457477503966da9da7cd1651901a54884c979b27f0f610cedce803ed4":
+            PlotBundle(series=series, candidate_markers=(2, 4, 6), final_markers=(4,),
+                       heatmaps=(heat, -0.5 * heat)),
+        "ab64261f759e4c958f4ad43fe8726beb3e16552b50cb00429b05b766bee2d9ae":
+            PlotBundle(series=np.full((5, 2), 1.0), final_markers=(3,),
+                       heatmaps=(np.zeros((2, 2)), np.zeros((2, 2)))),
+    }
+    for digest, bundle in bundles.items():
+        render_svg(bundle, tmp_path / "plot.svg")
+        assert hashlib.sha256((tmp_path / "plot.svg").read_bytes()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ CLI
