@@ -102,12 +102,9 @@ def companion_spectral_radius(segment: np.ndarray, p: int, d: int) -> float:
     seg = np.asarray(segment, dtype=float)
     if seg.shape != (p, p * d):
         raise ValueError(f"segment must be {p} x {p * d}, got {seg.shape}")
-    if d == 1:
-        comp = seg
-    else:
-        comp = np.zeros((p * d, p * d))
-        comp[:p, :] = seg
-        comp[p:, : p * (d - 1)] = np.eye(p * (d - 1))
+    comp = np.zeros((p * d, p * d))
+    comp[:p, :] = seg
+    comp[p:, : p * (d - 1)] = np.eye(p * (d - 1))
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 

@@ -25,11 +25,12 @@ class DataError(ValueError):
 
 def write_csv(path, data: np.ndarray) -> None:
     X = np.asarray(data, dtype=float)
-    T, p = X.shape
+    _, p = X.shape
+    row = "%d," + ",".join(["%.17g"] * p) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t," + ",".join(f"y{j + 1}" for j in range(p)) + "\n")
-        for t in range(T):
-            fh.write(str(t + 1) + "," + ",".join(f"{v:.17g}" for v in X[t]) + "\n")
+        for t, values in enumerate(X.tolist(), start=1):
+            fh.write(row % (t, *values))
 
 
 def _parse_row(cells: list[str], row_no: int, ncol: int, has_t: bool) -> list[float]:
@@ -71,7 +72,7 @@ def ingest_csv(path) -> np.ndarray:
     body = lines[1:] if has_header else lines
     if not body:
         raise DataError("no data rows")
-    ncol = len(first) if has_header else len(body[0].split(","))
+    ncol = len(first)
     if not has_header and ncol >= 2:
         # headerless: treat the first column as t only if it counts 1..T
         col0 = [ln.split(",")[0].strip() for ln in body]
@@ -89,8 +90,7 @@ def ingest_csv(path) -> np.ndarray:
 
 def dump_json(path, obj: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def load_json(path) -> dict:

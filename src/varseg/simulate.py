@@ -14,13 +14,13 @@ _MODEL_STREAM = 1
 
 _NNZ_PER_ROW = 2             # S3 nonzeros per coefficient row
 _VALUE_RANGE = (0.2, 0.4)    # and the range of their absolute values
+_BURN_IN = 200               # steps run under the first segment before y_1
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationConfig:
     model: SegmentedVarModel
     seed: int
-    burn_in: int = 200
 
 
 @dataclass(frozen=True)
@@ -96,27 +96,23 @@ def make_scenario(preset: ScenarioPreset, seed: int) -> SimulationConfig:
 def simulate(config: SimulationConfig) -> np.ndarray:
     """Generate the T x p series for `config.model`.
 
-    The recursion starts from zero lags, runs `burn_in` steps under the
+    The recursion starts from zero lags, runs `_BURN_IN` steps under the
     first segment's coefficients, then continues through every segment
     without re-initializing, so the state carries across breaks.  The main
     T noise rows are drawn before the burn-in rows: with all-zero
-    coefficients the output equals the noise sequence regardless of
-    burn_in.
+    coefficients the output equals the noise sequence whatever the burn-in.
     """
     model = config.model
-    if config.burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-
     p, d, T = model.p, model.d, model.T
     rng = np.random.default_rng(config.seed)
     chol = np.linalg.cholesky(0.5 * (model.noise_cov + model.noise_cov.T))
     eps_main = rng.standard_normal((T, p)) @ chol.T
-    eps_burn = rng.standard_normal((config.burn_in, p)) @ chol.T
+    eps_burn = rng.standard_normal((_BURN_IN, p)) @ chol.T
 
     # state holds (y_{t-1}', ..., y_{t-d}')'.
     state = np.zeros(p * d)
     first = model.segments[0]
-    for t in range(config.burn_in):
+    for t in range(_BURN_IN):
         y = first @ state + eps_burn[t]
         state = np.concatenate([y, state[: p * (d - 1)]])
 

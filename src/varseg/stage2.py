@@ -24,10 +24,10 @@ breaks, fits, L_n and IC are those of the refined segmentation.
 Each penalized refit (`_lasso`) runs a short primal-dual active-set chain
 (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002) from a soft-thresholded
 ridge point of the segment's own data (`_chain_start`); a response column
-the chain never certifies runs stage 1's active-set column solver
-(`stage1._solve_column`; Osborne, Presnell & Turlach, IMA J. Numer. Anal.
-2000) from zero on the segment's rows.  A fit is always a solve on its
-signs, so a certified fit does not depend on the start.
+the chain's last step leaves uncertified runs stage 1's active-set column
+solver (`stage1._solve_column`; Osborne, Presnell & Turlach, IMA J.
+Numer. Anal. 2000) from zero on the segment's rows.  A fit is always a
+solve on its signs, so a certified fit does not depend on the start.
 `tests/cd_oracle.py` keeps the coordinate-descent reference the fits are
 checked against, and `tests/search_oracle.py` the subset searches and
 the refine that `select_breaks` is checked against.
@@ -110,35 +110,30 @@ def _lasso(A: np.ndarray, B: np.ndarray, kappa: float) -> tuple[np.ndarray, bool
     `_chain_start`: each of at most `_NEWTON_STEPS` steps (read at call
     time) solves (`_signed_solve`) on the signs of
     u = diag(G) theta + (r - G theta) where |u| > kappa, zero elsewhere,
-    and is the fit if certified in every column.  On a repeated sign
-    pattern, a failed solve or at the cap, each column some step certified
-    keeps its signs, the others run `_solve_column` on A's rows with block
-    0 alone (the segment's one coefficient block) and band `_KKT_TOL`
-    kappa, the certificate's, and one solve on the combined signs gives
-    theta.  Returns (theta, certified in every column); when that solve
-    fails, the pieces, uncertified.
+    and is the fit if certified in every column.  On a failed solve or at
+    the cap, the columns the last step certified keep their signs, the
+    others run `_solve_column` on A's rows with block 0 alone (the
+    segment's one coefficient block) and band `_KKT_TOL` kappa, the
+    certificate's, and one solve on the combined signs gives theta.
+    Returns (theta, certified in every column); when that solve fails, the
+    pieces, uncertified.
     """
     G, r, rows = A.T @ A, A.T @ B, A.shape[0]
     diag = np.diag(G)[:, None]
     theta = _chain_start(G, r, kappa)
     grad = r - G @ theta
-    kept, done = np.zeros_like(r), np.zeros(r.shape[1], dtype=bool)
-    seen: list[np.ndarray] = []
+    ok = np.zeros(r.shape[1], dtype=bool)
     for _ in range(_NEWTON_STEPS):
         u = diag * theta + grad
         signs = np.where(np.abs(u) > kappa, np.sign(u), 0.0)
-        if any(np.array_equal(signs, s) for s in seen):
-            break
-        seen.append(signs)
         solved = _signed_solve(G, r, kappa, signs, rows)
         if solved is None:
             break
         theta, grad, ok = solved
         if ok.all():
             return theta, True
-        kept[:, ok] = theta[:, ok]
-        done |= ok
-    for c in np.flatnonzero(~done):
+    kept = np.where(ok, theta, 0.0)
+    for c in np.flatnonzero(~ok):
         _, aa, xv, _, _ = _solve_column(A, B[:, c], kappa, _KKT_TOL * kappa, 1)
         kept[aa, c] = xv
     solved = _signed_solve(G, r, kappa, np.sign(kept), rows)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fit_hash
 from golden_detections import GOLDEN, inputs, record
 
 PINNED = json.loads(GOLDEN.read_text())
@@ -22,3 +23,13 @@ def test_detections_match_the_golden_file(name):
     assert got["stage1_converged"] is want["stage1_converged"]
     assert got["stage2_converged"] is want["stage2_converged"]
     assert got["ic"] == pytest.approx(want["ic"], rel=1e-9, abs=0.0)
+
+
+def test_fit_hash_is_reproducible():
+    # two golden inputs and one that takes the CSV round trip, so the
+    # hand-run parity script keeps working
+    items = fit_hash.inputs()
+    items = items[:2] + [next(item for item in items if item[3])]
+    first, second = fit_hash.fit_hash(items), fit_hash.fit_hash(items)
+    assert first == second
+    assert first[1]["fits"] > 0

@@ -37,6 +37,21 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(ingest_csv(path), data)
 
 
+def test_csv_and_json_bytes_are_pinned(tmp_path):
+    # Pins both formats: 17 significant digits per cell, with -0.0, 1/3, a
+    # subnormal and 2.5e300; JSON indented by two spaces, one final newline.
+    data = np.array([[0.0, -0.0, 1 / 3], [2.5e300, 5e-324, -1.5],
+                     [np.pi, -2.0 ** -1040, 1e-5]])
+    obj = {"name": "varseg", "breaks": [100, 200], "ic": 1 / 3,
+           "nested": {"empty": [], "flags": [True, None], "x": -0.0, "big": 2.5e300}}
+    write_csv(tmp_path / "x.csv", data)
+    dump_json(tmp_path / "x.json", obj)
+    assert hashlib.sha256((tmp_path / "x.csv").read_bytes()).hexdigest() == (
+        "e52c86a717c3ba14423bbb42cd9c5712711cc60cf314c9613d53ec85d3bf5343")
+    assert hashlib.sha256((tmp_path / "x.json").read_bytes()).hexdigest() == (
+        "f4406d6192974ec8d5be5ecad982a12a8b00cb23768719c978661db04ccf4399")
+
+
 def test_csv_header_and_t_column(tmp_path):
     path = _write(tmp_path / "x.csv", "t,y1,y2\n1,0.5,1.5\n2,-2,3\n")
     np.testing.assert_array_equal(ingest_csv(path), [[0.5, 1.5], [-2.0, 3.0]])

@@ -1,6 +1,7 @@
 """Scenario presets and the seeded piecewise-VAR generator."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -81,13 +82,17 @@ def test_simulate_white_noise_covariance():
     assert np.max(np.abs(cov - np.eye(2))) < 0.05
 
 
-def test_simulate_white_noise_ignores_burn_in():
+def test_simulate_white_noise_ignores_burn_in(monkeypatch):
     preset = dataclasses.replace(scenario_preset(1), breaks=(),
                                  diag_values=(0.0,), band_values=(0.0,))
-    model = make_scenario(preset, seed=9).model
-    a = simulate(SimulationConfig(model=model, seed=9, burn_in=0))
-    b = simulate(SimulationConfig(model=model, seed=9, burn_in=500))
-    np.testing.assert_array_equal(a, b)
+    config = make_scenario(preset, seed=9)
+    # the module, which the function `varseg.simulate` shadows as an attribute
+    module = importlib.import_module("varseg.simulate")
+    runs = []
+    for burn_in in (0, 500):
+        monkeypatch.setattr(module, "_BURN_IN", burn_in)
+        runs.append(simulate(config))
+    np.testing.assert_array_equal(*runs)
 
 
 def test_simulate_segment_switch_time():
@@ -96,7 +101,7 @@ def test_simulate_segment_switch_time():
     segs = (np.zeros((1, 1)), np.array([[0.5]]))
     model = SegmentedVarModel(p=1, d=1, T=10, break_points=(6,), segments=segs,
                               noise_cov=np.eye(1))
-    data = simulate(SimulationConfig(model=model, seed=2, burn_in=0))
+    data = simulate(SimulationConfig(model=model, seed=2))
     rng = np.random.default_rng(2)
     eps = rng.standard_normal((10, 1))
     expect = eps.copy()
@@ -111,9 +116,3 @@ def test_simulate_rejects_invalid_model():
         SegmentedVarModel(p=1, d=1, T=10, break_points=(20,),
                           segments=(np.zeros((1, 1)), np.zeros((1, 1))),
                           noise_cov=np.eye(1))
-
-
-def test_simulate_rejects_negative_burn_in():
-    config = make_scenario(scenario_preset(1), seed=0)
-    with pytest.raises(ValueError, match="burn_in"):
-        simulate(SimulationConfig(model=config.model, seed=0, burn_in=-1))
