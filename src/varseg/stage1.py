@@ -21,8 +21,10 @@ reported as converged=False.  Residuals and coupled gradients come from
 one raw-row kernel, `_column_residual`.  The pricing round that finds no
 violator also certifies the column and gives its residual for the
 objective, so each support is priced once; the KKT audit `kkt_check` runs
-the kernel afresh.  Each working support keeps its masked raw-row columns
-U and the pivot system's A = U'U and U'y beside them, updated by one row
+the kernel afresh.  The kernel's reverse cumulative sum adds two columns
+per step, on a complex128 view, to the bits of a one-column scan.  Each
+working support keeps its masked raw-row columns U and the pivot
+system's A = U'U and U'y beside them, updated by one row
 and column per admit (as LARS keeps its active Gram: Efron, Hastie,
 Johnstone & Tibshirani, Ann. Statist. 2004), so the solve holds
 O(n * (p*d + k)) bytes for k working entries, never the O(n * (p*d)^2)
@@ -165,13 +167,22 @@ def _column_residual(lag: np.ndarray, y: np.ndarray, U: np.ndarray,
     Entry k adds xv[k] to a lag coefficient from some row on, and U[:, k]
     is its masked raw-row column (`_masked_columns`), so the residual is
     y - U @ xv.  Block b's gradient sums x_l r_l over its rows l >= b: a
-    reverse cumulative sum.  Returns r (rows,) and the gradient (rows,
-    p*d); the work is O(rows * (p*d + k)) for k entries.
+    reverse cumulative sum.  The scan runs on column pairs: x_l r_l fills
+    a C-ordered (rows, p*d rounded up to even) buffer, zero in the pad
+    column, whose complex128 view adds two columns per step.  A complex add
+    is two float adds, so every column is summed in the same order and to
+    the same bits as a float64 scan of it alone.  Returns r (rows,) and
+    the gradient (rows, p*d), a view of the buffer; the work is
+    O(rows * (p*d + k)) for k entries.
     """
     r = y - U @ xv
-    grad = np.multiply(lag, r[:, None])
-    np.cumsum(grad[::-1], axis=0, out=grad[::-1])   # in place, from the end
-    return r, grad
+    rows, q = lag.shape
+    buf = np.empty((rows, q + q % 2))
+    buf[:, q:] = 0.0
+    np.multiply(lag, r[:, None], out=buf[:, :q])
+    pairs = buf.view(np.complex128)
+    np.cumsum(pairs[::-1], axis=0, out=pairs[::-1])   # in place, from the end
+    return r, buf[:, :q]
 
 
 class _WorkingSupport:

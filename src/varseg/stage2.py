@@ -23,10 +23,12 @@ breaks, fits, L_n and IC are those of the refined segmentation.
 
 Each penalized refit (`_lasso`) runs a short primal-dual active-set chain
 (Hintermueller, Ito & Kunisch, SIAM J. Optim. 2002) from a soft-thresholded
-ridge point of the segment's own data (`_chain_start`); a response column
-the chain's last step leaves uncertified runs stage 1's active-set column
-solver (`stage1._solve_column`; Osborne, Presnell & Turlach, IMA J.
-Numer. Anal. 2000) from zero on the segment's rows.  A fit is always a
+ridge point of the segment's own data and one Jacobi sweep from it
+(`_chain_start`), and each step re-solves only the columns whose signs
+changed (`_signed_solve`); a response column the chain's last step
+leaves uncertified runs stage 1's active-set column solver
+(`stage1._solve_column`; Osborne, Presnell & Turlach, IMA J. Numer.
+Anal. 2000) from zero on the segment's rows.  A fit is always a
 solve on its signs, so a certified fit does not depend on the start.
 `tests/cd_oracle.py` keeps the coordinate-descent reference the fits are
 checked against, and `tests/search_oracle.py` the subset searches and
@@ -108,13 +110,13 @@ def _lasso(A: np.ndarray, B: np.ndarray, kappa: float) -> tuple[np.ndarray, bool
 
     A semismooth Newton chain on G = A'A and r = A'B runs from
     `_chain_start`: each of at most `_NEWTON_STEPS` steps (read at call
-    time) solves (`_signed_solve`) on the signs of
-    u = diag(G) theta + (r - G theta) where |u| > kappa, zero elsewhere,
-    and is the fit if certified in every column.  On a failed solve or at
-    the cap, the columns the last step certified keep their signs, the
-    others run `_solve_column` on A's rows with block 0 alone (the
-    segment's one coefficient block) and band `_KKT_TOL` kappa, the
-    certificate's, and one solve on the combined signs gives theta.
+    time) solves (`_signed_solve`, given the last step's signs and theta)
+    on the signs of u = diag(G) theta + (r - G theta) where |u| > kappa,
+    zero elsewhere, and is the fit if certified in every column.  On a
+    failed solve or at the cap, the columns the last step certified keep
+    their signs, the others run `_solve_column` on A's rows with block 0
+    alone (the segment's one coefficient block) and band `_KKT_TOL` kappa,
+    the certificate's, and one solve on the combined signs gives theta.
     Returns (theta, certified in every column); when that solve fails, the
     pieces, uncertified.
     """
@@ -123,28 +125,32 @@ def _lasso(A: np.ndarray, B: np.ndarray, kappa: float) -> tuple[np.ndarray, bool
     theta = _chain_start(G, r, kappa)
     grad = r - G @ theta
     ok = np.zeros(r.shape[1], dtype=bool)
+    prev = None
     for _ in range(_NEWTON_STEPS):
         u = diag * theta + grad
         signs = np.where(np.abs(u) > kappa, np.sign(u), 0.0)
-        solved = _signed_solve(G, r, kappa, signs, rows)
+        solved = _signed_solve(G, r, kappa, signs, rows, prev)
         if solved is None:
             break
         theta, grad, ok = solved
         if ok.all():
             return theta, True
+        prev = signs, theta
     kept = np.where(ok, theta, 0.0)
     for c in np.flatnonzero(~ok):
         _, aa, xv, _, _ = _solve_column(A, B[:, c], kappa, _KKT_TOL * kappa, 1)
         kept[aa, c] = xv
-    solved = _signed_solve(G, r, kappa, np.sign(kept), rows)
+    solved = _signed_solve(G, r, kappa, np.sign(kept), rows, prev)
     if solved is None:
         return kept, False
     return solved[0], bool(solved[2].all())
 
 
 def _chain_start(G: np.ndarray, r: np.ndarray, kappa: float) -> np.ndarray:
-    """The ridge point (G + kappa I)^-1 r soft-thresholded by kappa / diag(G),
-    0 where diag(G) is 0; all 0 if G + kappa I is singular in floating point."""
+    """The chain's start: the ridge point (G + kappa I)^-1 r soft-thresholded
+    by kappa / diag(G), then one Jacobi sweep z = theta + (r - G theta) /
+    diag(G), soft-thresholded the same way.  Both are 0 where diag(G) is 0;
+    all is 0 if G + kappa I is singular in floating point."""
     ridge = G.copy()
     ridge[np.diag_indices_from(ridge)] += kappa
     try:
@@ -152,51 +158,64 @@ def _chain_start(G: np.ndarray, r: np.ndarray, kappa: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         return np.zeros_like(r)
     diag = np.diag(G)[:, None]
-    cut = np.divide(kappa, diag, out=np.full_like(diag, np.inf), where=diag > 0.0)
+    live = diag > 0.0
+    cut = np.divide(kappa, diag, out=np.full_like(diag, np.inf), where=live)
+    theta = np.sign(z) * np.maximum(np.abs(z) - cut, 0.0)
+    z = theta + np.divide(r - G @ theta, diag, out=np.zeros_like(r), where=live)
     return np.sign(z) * np.maximum(np.abs(z) - cut, 0.0)
 
 
 def _signed_solve(G: np.ndarray, r: np.ndarray, kappa: float, signs: np.ndarray,
-                  rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+                  rows: int, prev: tuple[np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Solve G_SS theta_S = r_S - kappa * signs_S on each column's support S.
 
     The support rows are gathered into a k x k system, k the largest
-    support, so one batched solve covers every column.  The gather indexes
-    the augmented Gram [[G, 0], [0, I_k]] and right-hand side
-    [r - kappa signs; 0]: a column with fewer than k entries takes rows
-    q, ..., q + k - 1 for its padding, an identity block with a zero
-    right-hand side, and its solution there lands in rows of theta that are
-    dropped.  Entries off the support are +0.0, so the solve depends only
-    on (G, r, kappa) and the signs.  Returns (theta, grad = r - G theta,
-    certified), the KKT certificate per column: theta has the signs,
-    |grad| <= kappa (1 + `_KKT_TOL`) on zero entries, and the support
-    equalities hold within `_KKT_TOL` kappa.  None for a singular or
-    non-finite solve, or a support larger than `rows` (G has rank at most
-    rows; a lasso optimum in general position has no more).
+    support, so one batched solve covers every column.  The gather is one
+    flat take from the augmented Gram [[G, 0], [0, I_k]], and the
+    right-hand side is [r - kappa signs; 0]: a column with fewer than k
+    entries takes rows q, ..., q + k - 1 for its padding, an identity
+    block with a zero right-hand side, and its solution there lands in
+    rows of theta that are dropped.  Entries off the support are +0.0, so
+    a column's solve depends only on (G, r, kappa), its signs and k: the
+    batched solve factors each system on its own.  prev = (signs, theta)
+    of an earlier solve on the same G, r and kappa; when its k is this
+    k, a column whose signs it shares keeps its theta column, to the
+    same bits, and only the others are solved.  Returns (theta, grad =
+    r - G theta, certified), the KKT certificate per column: theta has the
+    signs, |grad| <= kappa (1 + `_KKT_TOL`) on zero entries, and the
+    support equalities hold within `_KKT_TOL` kappa.  None for a singular
+    or non-finite solve, or a support larger than `rows` (G has rank at
+    most rows; a lasso optimum in general position has no more).
     """
     q, p = r.shape
-    cols = np.arange(p)[:, None]
     on = signs != 0.0
     count = on.sum(axis=0)
     k = int(count.max())
     if k > rows:
         return None
+    theta = np.zeros((q + k, p))
+    cols = np.arange(p)
+    if prev is not None and int(np.abs(prev[0]).sum(axis=0).max()) == k:
+        redo = (signs != prev[0]).any(axis=0)
+        theta[:q] = np.where(redo, 0.0, prev[1])
+        cols = cols[redo]
     slots = np.arange(k)
-    idx = np.where(slots < count[:, None],                # p x k, support first
-                   np.argsort(~on, axis=0, kind="stable")[:k].T, q + slots)
+    idx = np.where(slots < count[cols, None],             # support first
+                   np.argsort(~on[:, cols], axis=0, kind="stable")[:k].T, q + slots)
+    cols = cols[:, None]
     gram = np.zeros((q + k, q + k))
     gram[:q, :q] = G
     gram[q + slots, q + slots] = 1.0
     rhs = np.zeros((q + k, p))
     rhs[:q] = r - kappa * signs
     try:
-        solved = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]],
+        solved = np.linalg.solve(np.take(gram, idx[:, :, None] * (q + k) + idx[:, None, :]),
                                  rhs[idx, cols][:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(solved)):
         return None
-    theta = np.zeros((q + k, p))
     theta[idx, cols] = solved
     theta = theta[:q]
     grad = r - G @ theta

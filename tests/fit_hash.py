@@ -3,9 +3,11 @@
     PYTHONPATH=src python tests/fit_hash.py
 
 prints the hash, the number of fits, the Newton chain's solves
-(`stage2._signed_solve` calls) and the columns that ran the fallback
-(stage 2's `_solve_column` calls).  A change meant to keep every answer
-runs it at the parent commit and at the change, and compares the lines.
+(`stage2._signed_solve` calls), the column systems those solves factor
+(the batch sizes of the 3-D `np.linalg.solve` calls) and the columns that
+ran the fallback (stage 2's `_solve_column` calls).  A change meant to
+keep every answer runs it at the parent commit and at the change, and
+compares the lines.
 
 The inputs are the golden inputs (`golden_detections.inputs()`) and the
 set-up inputs of every perfbench workload at seeds 0 and 7777.  The hash
@@ -21,6 +23,8 @@ import hashlib
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from golden_detections import inputs as golden_inputs
 from varseg import plots, serialize, stage2
@@ -70,10 +74,17 @@ def _detect(preset, seed: int, via_csv: bool, workdir: Path, h) -> None:
 
 def fit_hash(items) -> tuple[str, dict[str, int]]:
     """The hex digest over `items` (as `inputs()` gives them), and the counts:
-    fits, `_signed_solve` calls and `_solve_column` calls in stage 2."""
+    fits, `_signed_solve` calls, column systems and `_solve_column` calls
+    in stage 2."""
     h = hashlib.sha256()
-    counts = dict.fromkeys(("fits", *COUNTED), 0)
+    counts = dict.fromkeys(("fits", "systems", *COUNTED), 0)
     originals = {name: getattr(stage2, name) for name in ("fit_segment", *COUNTED)}
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        if a.ndim == 3:     # the chain's batch: one system per column
+            counts["systems"] += a.shape[0]
+        return solve(a, b)
 
     def counted(name):
         def call(*args, **kwargs):
@@ -90,6 +101,7 @@ def fit_hash(items) -> tuple[str, dict[str, int]]:
 
     try:
         stage2.fit_segment = hashed_fit
+        np.linalg.solve = counted_solve
         for name in COUNTED:
             setattr(stage2, name, counted(name))
         with tempfile.TemporaryDirectory() as tmp:
@@ -97,6 +109,7 @@ def fit_hash(items) -> tuple[str, dict[str, int]]:
                 h.update(name.encode())
                 _detect(preset, seed, via_csv, Path(tmp), h)
     finally:
+        np.linalg.solve = solve
         for name, original in originals.items():
             setattr(stage2, name, original)
     return h.hexdigest(), counts
@@ -107,6 +120,7 @@ def main() -> None:
     digest, counts = fit_hash(items)
     print(f"inputs {len(items)}  fits {counts['fits']}  "
           f"chain solves {counts['_signed_solve']}  "
+          f"column systems {counts['systems']}  "
           f"fallback columns {counts['_solve_column']}")
     print(f"fit hash {digest}")
 

@@ -116,6 +116,29 @@ def test_gradients_match_suffix_recursion(data, d, dense, seed):
     assert float(np.max(np.abs(got - want))) <= 1e-12 * max(scale, np.finfo(float).tiny)
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("rows, q", [(1, 1), (1, 4), (29, 1), (29, 2), (29, 7), (40, 20)])
+@settings(max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_kernel_scan_is_a_one_column_float_scan_to_the_bit(layout, rows, q, seed):
+    # the kernel scans column pairs on a complex128 view of its own buffer;
+    # every column must still get the bits of a float64 reverse scan of that
+    # column alone, whatever lag's layout (an F-ordered product has no pair view)
+    rng = np.random.default_rng(seed)
+    lag = rng.standard_normal((rows, 2 * q + 1)) * 10.0 ** rng.uniform(-3, 3, 2 * q + 1)
+    lag = {"C": np.ascontiguousarray(lag[:, :q]), "F": np.asfortranarray(lag[:, :q]),
+           "strided": lag[:, 1::2]}[layout]
+    k = int(rng.integers(0, 4))
+    bb, aa = rng.integers(0, rows, k), rng.integers(0, q, k)
+    U, xv = stage1._masked_columns(lag, bb, aa), rng.standard_normal(k)
+    y = rng.standard_normal(rows)
+    r, grad = stage1._column_residual(lag, y, U, xv)
+    terms = lag * r[:, None]
+    want = np.stack([np.cumsum(terms[::-1, a])[::-1] for a in range(q)], axis=1)
+    assert r.tobytes() == (y - U @ xv).tobytes()
+    assert grad.shape == (rows, q) and grad.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------------- bcd_solve
 
 def _nnz(est):

@@ -262,6 +262,36 @@ def test_certified_fits_do_not_depend_on_the_start(monkeypatch):
         assert a.theta.tobytes() == b.theta.tobytes(), rng
 
 
+@pytest.mark.parametrize("preset", [scenario_preset(1),
+                                    replace(scenario_preset(3), T=200, p=50, breaks=(100,))],
+                         ids=["scenario1", "p50"])
+def test_chain_memo_gives_the_fresh_solve_bytes(monkeypatch, preset):
+    # every chain solve of a seed-0 detect: given the last step's signs and
+    # theta, a solve re-solves only the columns whose signs changed, and
+    # must return the bytes a fresh solve of every column returns
+    signed_solve, calls = stage2._signed_solve, []
+
+    def spy(*args):
+        calls.append(args)
+        return signed_solve(*args)
+
+    monkeypatch.setattr(stage2, "_signed_solve", spy)
+    detect(simulate(make_scenario(preset, 0)), preset.d)
+    monkeypatch.undo()
+    kept = 0
+    for G, r, kappa, signs, rows, prev in calls:
+        memo = signed_solve(G, r, kappa, signs, rows, prev)
+        fresh = signed_solve(G, r, kappa, signs, rows)
+        assert (memo is None) == (fresh is None)
+        if memo is not None:
+            assert [a.tobytes() for a in memo] == [a.tobytes() for a in fresh]
+        width = np.abs(signs).sum(axis=0).max()
+        if prev is not None and np.abs(prev[0]).sum(axis=0).max() == width:
+            kept += int((prev[0] == signs).all(axis=0).sum())
+    # the memo keeps columns on these inputs: more than one per solve
+    assert kept > len(calls)
+
+
 def test_chain_start_edge_cases():
     # a zero column has diag(G) = 0 and starts at 0, with no divide
     # warning; two equal columns and kappa below G's rounding make
