@@ -134,7 +134,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     # reported either way; --strict only turns it into the exit code
     records = summary.records
     counts = {
-        "failed": sum(1 for r in records if r.get("error")),
+        "failed": summary.n_failed,
         "stage-1 solver did not converge":
             sum(1 for r in records if not r.get("stage1_converged", True)),
         "stage-2 segment fit did not converge":

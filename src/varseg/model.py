@@ -158,14 +158,17 @@ def check_eta(eta: float) -> None:
 
 
 def check_schedule(schedule: TuningSchedule) -> None:
-    """Raise ValueError unless lambda_n is finite and > 0 and eta_n and
-    omega_n are finite and >= 0."""
-    lam, omega = schedule.lambda_n, schedule.omega_n
+    """Raise ValueError unless lambda_n is finite and > 0 and eta_n,
+    omega_n and gamma_n are finite and >= 0 (gamma_n = 0 leaves every
+    premerged candidate its own cluster)."""
+    lam = schedule.lambda_n
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda_n must be finite and > 0, got {lam}")
     check_eta(schedule.eta_n)
-    if not (math.isfinite(omega) and omega >= 0):
-        raise ValueError(f"omega_n must be finite and >= 0, got {omega}")
+    for name in ("omega_n", "gamma_n"):
+        level = getattr(schedule, name)
+        if not (math.isfinite(level) and level >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {level}")
 
 
 def default_schedule(n, p: int, d: int, C: float, v: float = 0.5) -> TuningSchedule:

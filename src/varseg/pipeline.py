@@ -46,7 +46,6 @@ class DetectionResult:
     stage1_estimate: ThetaEstimate
     stage2: ScreeningResult
     final_breaks: tuple[int, ...]
-    final_models: tuple[np.ndarray, ...]
     schedule: TuningSchedule
 
 
@@ -156,9 +155,7 @@ def detect(data: np.ndarray, d: int,
         raise PipelineError("stage2", str(exc)) from exc
     return DetectionResult(
         stage1=candidates, stage1_estimate=estimate, stage2=screening,
-        final_breaks=screening.chosen_breaks,
-        final_models=tuple(f.theta for f in screening.fits),
-        schedule=schedule,
+        final_breaks=screening.chosen_breaks, schedule=schedule,
     )
 
 

@@ -46,7 +46,7 @@ def make_plot_bundle(data: np.ndarray, detection) -> PlotBundle:
         series=np.asarray(data, dtype=float),
         candidate_markers=detection.stage1.indices,
         final_markers=detection.final_breaks,
-        heatmaps=detection.final_models,
+        heatmaps=tuple(f.theta for f in detection.stage2.fits),
     )
 
 

@@ -117,7 +117,7 @@ def detection_to_dict(result: DetectionResult) -> dict:
     screening, schedule = result.stage2, result.schedule
     return {
         "final_breaks": list(result.final_breaks),
-        "final_models": [m.tolist() for m in result.final_models],
+        "final_models": [f.theta.tolist() for f in screening.fits],
         "schedule": asdict(schedule),
         "stage1": {
             "lambda": float(schedule.lambda_n),

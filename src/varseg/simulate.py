@@ -96,33 +96,23 @@ def make_scenario(preset: ScenarioPreset, seed: int) -> SimulationConfig:
 def simulate(config: SimulationConfig) -> np.ndarray:
     """Generate the T x p series for `config.model`.
 
-    The recursion starts from zero lags, runs `_BURN_IN` steps under the
-    first segment's coefficients, then continues through every segment
-    without re-initializing, so the state carries across breaks.  The main
-    T noise rows are drawn before the burn-in rows: with all-zero
+    One recursion fills a (d + `_BURN_IN` + T) x p buffer whose first d rows
+    are zero lags; each later row reads the d rows above it as its lags.
+    The `_BURN_IN` rows after the zero lags run under the first segment's
+    coefficients and the last T rows, the output, continue through every
+    segment without re-initializing, so the state carries across breaks.
+    The main T noise rows are drawn before the burn-in rows: with all-zero
     coefficients the output equals the noise sequence whatever the burn-in.
     """
     model = config.model
     p, d, T = model.p, model.d, model.T
     rng = np.random.default_rng(config.seed)
     chol = np.linalg.cholesky(0.5 * (model.noise_cov + model.noise_cov.T))
-    eps_main = rng.standard_normal((T, p)) @ chol.T
-    eps_burn = rng.standard_normal((_BURN_IN, p)) @ chol.T
-
-    # state holds (y_{t-1}', ..., y_{t-d}')'.
-    state = np.zeros(p * d)
-    first = model.segments[0]
-    for t in range(_BURN_IN):
-        y = first @ state + eps_burn[t]
-        state = np.concatenate([y, state[: p * (d - 1)]])
-
-    out = np.empty((T, p))
-    boundaries = list(model.break_points) + [T + 1]
-    seg_idx = 0
-    for t in range(1, T + 1):
-        while t >= boundaries[seg_idx]:
-            seg_idx += 1
-        y = model.segments[seg_idx] @ state + eps_main[t - 1]
-        out[t - 1] = y
-        state = np.concatenate([y, state[: p * (d - 1)]])
-    return out
+    ys = np.zeros((d + _BURN_IN + T, p))
+    ys[d + _BURN_IN:] = rng.standard_normal((T, p)) @ chol.T
+    ys[d:d + _BURN_IN] = rng.standard_normal((_BURN_IN, p)) @ chol.T
+    # step i gives y_t, t = i + 1 - _BURN_IN; every break lies after t = 0
+    times = np.arange(1 - _BURN_IN, T + 1)
+    for i, seg in enumerate(np.searchsorted(model.break_points, times, side="right")):
+        ys[d + i] += model.segments[seg] @ ys[i:d + i][::-1].ravel()
+    return ys[d + _BURN_IN:].copy()     # a view would keep the burn-in rows alive

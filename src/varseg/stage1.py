@@ -98,8 +98,8 @@ class ThetaEstimate:
 class KktReport:
     """Stationarity audit of a stage-1 estimate at threshold n*lambda/2.
 
-    active_residuals maps the 1-based index of each block with a nonzero
-    entry (1 is the base, b + 1 the increment at time t = b + d + 1), in
+    active_residuals maps the 0-based index of each block with a nonzero
+    entry (0 is the base, b >= 1 the increment at time t = b + d + 1), in
     increasing order, to its worst equality residual.
     """
 
@@ -432,7 +432,7 @@ def kkt_check(problem: Stage1Problem, estimate: ThetaEstimate, lam: float,
         np.maximum.at(worst, bb, np.abs(grad[bb, aa] - kappa * np.sign(xv)))
         grad[bb, aa] = 0.0
         inactive_max = max(inactive_max, float(np.max(np.abs(grad))))
-    active_residuals = {int(b) + 1: float(worst[b]) for b in np.flatnonzero(active)}
+    active_residuals = {int(b): float(worst[b]) for b in np.flatnonzero(active)}
     passed = all(v <= tol_kkt * kappa for v in active_residuals.values()) \
         and inactive_max <= kappa * (1.0 + tol_kkt)
     return KktReport(active_residuals=active_residuals,

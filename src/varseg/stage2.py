@@ -273,20 +273,14 @@ def premerge_candidates(candidates: CandidateSet, d: int, T: int) -> tuple[int, 
     member with the largest increment max-norm (earliest wins ties), so any
     subset of the result yields feasible segment lengths.
     """
-    feasible = [(t, s) for t, s in zip(candidates.indices, candidates.strengths)
-                if 2 * d + 1 < t <= T - d]
-    merged: list[int] = []
-    cluster: list[tuple[int, float]] = []
-    for t, s in feasible:
-        if cluster and t - cluster[-1][0] < d + 1:
-            cluster.append((t, s))
-        else:
-            if cluster:
-                merged.append(max(cluster, key=lambda ts: ts[1])[0])
-            cluster = [(t, s)]
-    if cluster:
-        merged.append(max(cluster, key=lambda ts: ts[1])[0])
-    return tuple(merged)
+    runs: list[list[tuple[int, float]]] = []
+    for t, s in zip(candidates.indices, candidates.strengths):
+        if 2 * d + 1 < t <= T - d:
+            if runs and t - runs[-1][-1][0] < d + 1:
+                runs[-1].append((t, s))
+            else:
+                runs.append([(t, s)])
+    return tuple(max(run, key=lambda ts: ts[1])[0] for run in runs)
 
 
 def cluster_candidates(candidates: CandidateSet, d: int, T: int,

@@ -1,20 +1,24 @@
-"""Fit hash: one SHA-256 over every segment fit and detection of the parity inputs.
+"""Fit hash: SHA-256 digests over every segment fit and detection of the parity inputs.
 
     PYTHONPATH=src python tests/fit_hash.py
 
-prints the hash, the number of fits, the Newton chain's solves
+prints the number of fits, the Newton chain's solves
 (`stage2._signed_solve` calls), the column systems those solves factor
 (the batch sizes of the 3-D `np.linalg.solve` calls) and the columns that
-ran the fallback (stage 2's `_solve_column` calls).  A change meant to
-keep every answer runs it at the parent commit and at the change, and
-compares the lines.
+ran the fallback (stage 2's `_solve_column` calls), then two digests.  A
+change meant to keep every answer runs it at the parent commit and at the
+change, and compares the lines.
 
 The inputs are the golden inputs (`golden_detections.inputs()`) and the
-set-up inputs of every perfbench workload at seeds 0 and 7777.  The hash
-covers each detect input's bytes, every fit (range, theta bytes, sse,
+set-up inputs of every perfbench workload at seeds 0 and 7777.  The fit
+hash covers each detect input's bytes, every fit (range, theta bytes, sse,
 l1_norm, converged), and each detection's candidates, breaks, IC, L_n and
 search trace.  A perfbench "cli" input goes through the CSV round trip and
 the three artifacts of `varseg detect`, and their bytes are hashed too.
+The detections hash covers the same fits and detections but neither the
+input nor the artifact bytes, so it leaves out every stage-1 value: a
+change that moves a stage-1 value and keeps every candidate, break, fit
+and IC keeps it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,9 @@ def _floats(*values: float) -> bytes:
     return " ".join(float(v).hex() for v in values).encode()
 
 
-def _detect(preset, seed: int, via_csv: bool, workdir: Path, h) -> None:
+def _detect(preset, seed: int, via_csv: bool, workdir: Path, h, both) -> None:
+    """Hash one input: its bytes and artifacts into `h` alone, its
+    detection into `h` and the detections hash (`both`)."""
     X = simulate(make_scenario(preset, seed))
     if via_csv:
         serialize.write_csv(workdir / "data.csv", X)
@@ -58,11 +64,11 @@ def _detect(preset, seed: int, via_csv: bool, workdir: Path, h) -> None:
     h.update(X.tobytes())
     result = detect(X, preset.d)
     screening = result.stage2
-    h.update(repr((result.stage1.indices, result.final_breaks,
-                   screening.chosen_breaks)).encode())
-    h.update(_floats(screening.ic, screening.L_n))
+    both(repr((result.stage1.indices, result.final_breaks,
+               screening.chosen_breaks)).encode())
+    both(_floats(screening.ic, screening.L_n))
     for subset, ic in screening.search_trace:
-        h.update(repr(subset).encode() + _floats(ic))
+        both(repr(subset).encode() + _floats(ic))
     if via_csv:
         serialize.dump_json(workdir / "result.json", serialize.detection_to_dict(result))
         bundle = plots.make_plot_bundle(X, result)
@@ -72,11 +78,16 @@ def _detect(preset, seed: int, via_csv: bool, workdir: Path, h) -> None:
             h.update((workdir / name).read_bytes())
 
 
-def fit_hash(items) -> tuple[str, dict[str, int]]:
-    """The hex digest over `items` (as `inputs()` gives them), and the counts:
-    fits, `_signed_solve` calls, column systems and `_solve_column` calls
-    in stage 2."""
-    h = hashlib.sha256()
+def fit_hash(items) -> tuple[tuple[str, str], dict[str, int]]:
+    """The fit hash and the detections hash over `items` (as `inputs()`
+    gives them), and the counts: fits, `_signed_solve` calls, column
+    systems and `_solve_column` calls in stage 2."""
+    h, detections = hashlib.sha256(), hashlib.sha256()
+
+    def both(data: bytes) -> None:
+        h.update(data)
+        detections.update(data)
+
     counts = dict.fromkeys(("fits", "systems", *COUNTED), 0)
     originals = {name: getattr(stage2, name) for name in ("fit_segment", *COUNTED)}
     solve = np.linalg.solve
@@ -95,8 +106,8 @@ def fit_hash(items) -> tuple[str, dict[str, int]]:
     def hashed_fit(*args, **kwargs):
         fit = originals["fit_segment"](*args, **kwargs)
         counts["fits"] += 1
-        h.update(repr((fit.range, fit.converged)).encode() + fit.theta.tobytes()
-                 + _floats(fit.sse, fit.l1_norm))
+        both(repr((fit.range, fit.converged)).encode() + fit.theta.tobytes()
+             + _floats(fit.sse, fit.l1_norm))
         return fit
 
     try:
@@ -106,23 +117,24 @@ def fit_hash(items) -> tuple[str, dict[str, int]]:
             setattr(stage2, name, counted(name))
         with tempfile.TemporaryDirectory() as tmp:
             for name, preset, seed, via_csv in items:
-                h.update(name.encode())
-                _detect(preset, seed, via_csv, Path(tmp), h)
+                both(name.encode())
+                _detect(preset, seed, via_csv, Path(tmp), h, both)
     finally:
         np.linalg.solve = solve
         for name, original in originals.items():
             setattr(stage2, name, original)
-    return h.hexdigest(), counts
+    return (h.hexdigest(), detections.hexdigest()), counts
 
 
 def main() -> None:
     items = inputs()
-    digest, counts = fit_hash(items)
+    (digest, detections), counts = fit_hash(items)
     print(f"inputs {len(items)}  fits {counts['fits']}  "
           f"chain solves {counts['_signed_solve']}  "
           f"column systems {counts['systems']}  "
           f"fallback columns {counts['_solve_column']}")
     print(f"fit hash {digest}")
+    print(f"detections hash {detections}")
 
 
 if __name__ == "__main__":

@@ -68,12 +68,14 @@ def test_schedule_rejects_bad_args():
 def test_check_schedule():
     sched = default_schedule(100, 2, 1, C=1.0)
     check_schedule(sched)
-    check_schedule(replace(sched, eta_n=0.0, omega_n=0.0))   # zero levels are valid
+    # zero levels are valid
+    check_schedule(replace(sched, eta_n=0.0, omega_n=0.0, gamma_n=0.0))
     bad = [("lambda_n", v, "lambda_n must be finite and > 0")
            for v in (0.0, -1.0, math.nan, math.inf)]
     bad += [(name, v, message) for v in (-5.0, math.nan, math.inf)
             for name, message in (("eta_n", "eta must be finite and >= 0"),
-                                  ("omega_n", "omega_n must be finite and >= 0"))]
+                                  ("omega_n", "omega_n must be finite and >= 0"),
+                                  ("gamma_n", "gamma_n must be finite and >= 0"))]
     for name, value, message in bad:
         with pytest.raises(ValueError, match=message):
             check_schedule(replace(sched, **{name: value}))

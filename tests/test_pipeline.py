@@ -114,6 +114,20 @@ def test_detect_refuses_bad_schedule(monkeypatch):
         detect(1e160 * data, 1)
 
 
+def test_detect_refuses_bad_gamma_before_stage1(monkeypatch):
+    # gamma_n sets only stage 2's cluster radius, but a bad one is input
+    # too: refused before bcd_solve, not as a stage-2 failure after it
+    rng = np.random.default_rng(2)
+    data = piecewise_series(rng, T=40, p=2, d=1, break_at=20)
+    good = schedule_for_data(data, 1)
+    detect(data, 1, replace(good, gamma_n=0.0))    # radius 0 is valid
+    monkeypatch.setattr(pipeline, "bcd_solve", None)
+    for value in (math.nan, math.inf, -0.5):
+        with pytest.raises(PipelineError, match="^input: gamma_n must be finite") as exc:
+            detect(data, 1, replace(good, gamma_n=value))
+        assert exc.value.stage == "input"
+
+
 def test_detect_memory_guard_counts_stage1_work_arrays(monkeypatch):
     # one block per equation, m = T - d equations: stage 1 holds the lagged
     # rows and its work arrays, eight arrays of m*q floats at most, and
@@ -247,7 +261,7 @@ def test_detect_benchmark_instance_localizes_both_breaks():
     assert len(det.final_breaks) == 2
     for truth in (100, 200):
         assert min(abs(b - truth) for b in det.final_breaks) <= 10
-    assert len(det.final_models) == 3
+    assert len(det.stage2.fits) == 3
 
 
 # ------------------------------------------------------------------ metrics

@@ -1,6 +1,7 @@
 """Scenario presets and the seeded piecewise-VAR generator."""
 
 import dataclasses
+import hashlib
 import importlib
 
 import numpy as np
@@ -70,6 +71,29 @@ def test_simulate_deterministic():
     a = simulate(config)
     b = simulate(config)
     np.testing.assert_array_equal(a, b)
+
+
+def test_simulate_bytes_are_pinned():
+    # Pins the noise draw order, the burn-in and the segment switch: the
+    # d = 2 model switches at its last row, t = T.
+    lag1 = np.array([[0.3, 0.1, 0.0], [0.0, -0.2, 0.1], [0.1, 0.0, 0.25]])
+    two_lags = SegmentedVarModel(
+        p=3, d=2, T=40, break_points=(40,),
+        segments=(np.hstack([lag1, 0.2 * np.eye(3)]),
+                  np.hstack([-lag1, -0.1 * np.eye(3)])),
+        noise_cov=np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 0.5]]))
+    configs = {
+        "8a2b328e8227e0a3847004607fe44b662430acb10e5c139c57ff9684f849415c":
+            make_scenario(scenario_preset(1), seed=0),
+        "c4e6aaa1b831544d5883866e5564511bd9525364b739a56698fdfc5599e229c2":
+            make_scenario(scenario_preset(3), seed=1),
+        "f1b459d4af0029ecef22831a55425fb91a1aa23d059e568eb8ebf0f2bd7947c9":
+            SimulationConfig(model=two_lags, seed=2),
+        "b324a4fc946a3f4a16c9353d37317b91460128b305a556b0bf40ecbcac7db405":
+            make_scenario(dataclasses.replace(scenario_preset(1), breaks=()), seed=0),
+    }
+    for digest, config in configs.items():
+        assert hashlib.sha256(simulate(config).tobytes()).hexdigest() == digest
 
 
 def test_simulate_white_noise_covariance():

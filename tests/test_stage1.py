@@ -555,7 +555,7 @@ def test_kkt_perturbation_names_block():
                            converged=True, objective_trace=())
     report = kkt_check(problem, bumped, 0.01, tol_kkt=1e-3)
     assert not report.passed
-    assert report.active_residuals[target + 1] > 1e-3 * report.threshold
+    assert report.active_residuals[target] > 1e-3 * report.threshold
 
 
 # ------------------------------------------------------- extract_candidates
