@@ -43,10 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     sp = add_parser("simulate", help="generate a benchmark scenario")
+    sp.set_defaults(run=_cmd_simulate)
     sp.add_argument("--out", required=True, help="output directory")
     _add_scenario(sp)
 
     sp = add_parser("detect", help="detect breaks in a CSV series")
+    sp.set_defaults(run=_cmd_detect)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--input", required=True, help="input series CSV")
     sp.add_argument("--d", type=int, default=1, help="lag order")
@@ -57,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "reported on stderr either way)")
 
     sp = add_parser("evaluate", help="replicate study on a scenario")
+    sp.set_defaults(run=_cmd_evaluate)
     sp.add_argument("--out", required=True, help="output directory")
     _add_scenario(sp)
     sp.add_argument("--replicates", type=int, default=20)
@@ -68,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "converge (it is reported on stderr either way)")
 
     sp = add_parser("plot", help="render a saved plot bundle to SVG")
+    sp.set_defaults(run=_cmd_plot)
     sp.add_argument("--out", required=True, help="output directory")
     sp.add_argument("--input", required=True, help="plot bundle JSON")
     return ap
@@ -156,14 +160,6 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "detect": _cmd_detect,
-    "evaluate": _cmd_evaluate,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -171,7 +167,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -17,15 +17,16 @@ from .stage1 import (CandidateSet, ThetaEstimate, bcd_solve, build_stage1,
 from .stage2 import ScreeningResult, select_breaks
 
 # The rate formulas are calibrated for unit-variance data; real penalties
-# scale with the average column variance.  The O(1) factors below were fixed
-# once against the benchmark scenarios and are overridable per call.
+# scale with the average column variance s2: C = LAMBDA_SCALE * s2,
+# eta_n = s2 * gamma_n and omega_n = OMEGA_SCALE * s2 * (the rate).  The two
+# O(1) factors were fixed once against the benchmark scenarios.  A caller's
+# lambda_c or eta replaces the scaled C or eta_n; omega_n is always scaled.
 # LAMBDA_SCALE sits where stage 1 still covers every true break (larger
 # values start missing boundary breaks) while keeping candidate clusters
 # tight enough for the backward search.  OMEGA_SCALE is the smallest value
 # that kills spurious splits on pure white noise without pruning true
 # breaks in the hard random-structure scenario.
 LAMBDA_SCALE = 0.63
-ETA_SCALE = 1.0
 OMEGA_SCALE = 1.3
 
 # Fraction of T used for the "selected within window" match.
@@ -45,8 +46,11 @@ class DetectionResult:
     stage1: CandidateSet
     stage1_estimate: ThetaEstimate
     stage2: ScreeningResult
-    final_breaks: tuple[int, ...]
     schedule: TuningSchedule
+
+    @property
+    def final_breaks(self) -> tuple[int, ...]:
+        return self.stage2.chosen_breaks
 
 
 @dataclass
@@ -77,17 +81,21 @@ def schedule_for_data(data: np.ndarray, d: int, *, lambda_c: float | None = None
     """Data-driven schedule: rate formulas times the average column variance.
 
     lambda_c (the constant C in lambda_n) and eta (the level eta_n) bypass
-    the variance scaling entirely when given.  Raises ValueError unless
-    C and v are finite and positive and the schedule passes
-    `check_schedule` (a finite C can still overflow lambda_n).
+    the variance scaling entirely when given.  Raises ValueError if every
+    column is constant (zero variance, tested on the values: np.var leaves
+    rounding noise), unless C and v are finite and positive, and unless the
+    schedule passes `check_schedule` (a finite C can overflow lambda_n).
     """
     X = np.asarray(data, dtype=float)
     T, p = X.shape
+    if np.all(X == X[:1]):
+        raise ValueError("every column of the data is constant: zero variance "
+                         "leaves the penalties no scale")
     n = effective_sample_size(T, d)
-    s2 = max(data_scale(X), np.finfo(float).tiny)
+    s2 = data_scale(X)
     C = lambda_c if lambda_c is not None else LAMBDA_SCALE * s2
     base = default_schedule(n, p, d, C, v)
-    eta_n = eta if eta is not None else ETA_SCALE * s2 * base.gamma_n
+    eta_n = eta if eta is not None else s2 * base.gamma_n
     schedule = replace(base, eta_n=float(eta_n),
                        omega_n=float(OMEGA_SCALE * s2 * base.omega_n))
     check_schedule(schedule)
@@ -124,14 +132,18 @@ def detect(data: np.ndarray, d: int,
     # stage 1 holds the lagged rows, (T - d) * q floats, and per response
     # column a few work arrays of their size and its working columns (the
     # estimate is only its nonzeros): under eight such arrays in all on
-    # every perfbench workload.  Stage 2's largest systems are a segment's q x q
-    # Gram and ridge system and p batched k x k ones, k <= min(q, segment rows)
+    # every perfbench workload.  A stage-2 fit, k <= min(q, segment rows)
+    # entries per column, holds at once its rows, q x q Gram and ridge
+    # system, (q + k)^2 augmented Gram, p k x k systems with their int64
+    # gather index, twelve arrays of up to q x p and numpy's iteration
+    # buffers (3 x 8192 floats); its fallback holds what stage 1 does.
     p, q = X.shape[1], X.shape[1] * d
     k = min(q, T - d)
     have = _physical_memory()
     for stage, need, what in (
             (1, 8 * 8 * (T - d) * q, "lagged rows and work arrays"),
-            (2, 8 * (2 * q * q + p * k * k), "segment Gram, ridge and batched systems")):
+            (2, 8 * ((T - d + 2 * q + 12 * p) * q + (q + k) ** 2 + 2 * p * k * k + 3 * 8192),
+             "segment Grams, rows and batched systems")):
         if need > have:
             raise PipelineError("input", f"stage {stage} needs {need / 2**30:.1f} GiB of "
                                          f"{what}, more than the {have / 2**30:.1f} GiB "
@@ -153,10 +165,8 @@ def detect(data: np.ndarray, d: int,
         screening = select_breaks(X, candidates, d, schedule)
     except Exception as exc:
         raise PipelineError("stage2", str(exc)) from exc
-    return DetectionResult(
-        stage1=candidates, stage1_estimate=estimate, stage2=screening,
-        final_breaks=screening.chosen_breaks, schedule=schedule,
-    )
+    return DetectionResult(stage1=candidates, stage1_estimate=estimate,
+                           stage2=screening, schedule=schedule)
 
 
 def hausdorff(reference, estimate) -> float:
@@ -192,7 +202,7 @@ def _run_one(preset: ScenarioPreset, seed: int,
         det = detect(data, preset.d, schedule)
         record.update(
             candidates=det.stage1.indices,
-            n_candidates=det.stage1.m_hat,
+            n_candidates=len(det.stage1.indices),
             final_breaks=det.final_breaks,
             m_final=len(det.final_breaks),
             stage1_converged=det.stage1_estimate.converged,

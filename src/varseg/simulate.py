@@ -15,6 +15,7 @@ _MODEL_STREAM = 1
 _NNZ_PER_ROW = 2             # S3 nonzeros per coefficient row
 _VALUE_RANGE = (0.2, 0.4)    # and the range of their absolute values
 _BURN_IN = 200               # steps run under the first segment before y_1
+_NOISE_SCALE = 0.01          # every scenario's noise covariance is this times I
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,19 +26,23 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class ScenarioPreset:
-    """Fixed benchmark setup: T=300, p=20, d=1, two breaks, noise 0.01 * I."""
+    """Fixed benchmark setup: T=300, p=20, two breaks, noise `_NOISE_SCALE` * I.
+
+    Every scenario's segments are p x p, so the lag order d is 1, not a field."""
 
     breaks: tuple[int, ...]
     T: int = 300
     p: int = 20
-    d: int = 1
-    noise_scale: float = 0.01
     # S1/S2: diagonal plus one off-diagonal band, same support in every
     # segment with segment-specific values.
     diag_values: tuple[float, float, float] = (0.6, -0.4, 0.5)
     band_values: tuple[float, float, float] = (0.1, -0.1, 0.1)
     # S3: random sparse support, drawn per segment.
     random_structure: bool = False
+
+    @property
+    def d(self) -> int:
+        return 1
 
 
 _PRESETS = {
@@ -88,7 +93,7 @@ def make_scenario(preset: ScenarioPreset, seed: int) -> SimulationConfig:
         p=preset.p, d=preset.d, T=preset.T,
         break_points=preset.breaks,
         segments=tuple(segments),
-        noise_cov=preset.noise_scale * np.eye(preset.p),
+        noise_cov=_NOISE_SCALE * np.eye(preset.p),
     )
     return SimulationConfig(model=model, seed=seed)
 

@@ -118,8 +118,11 @@ class CandidateSet:
     """
 
     indices: tuple[int, ...]
-    m_hat: int
     strengths: tuple[float, ...]
+
+    @property
+    def m_hat(self) -> int:     # the candidate count, read from indices
+        return len(self.indices)
 
 
 def _lagged_design(data: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,6 +459,5 @@ def extract_candidates(estimate: ThetaEstimate, d: int) -> CandidateSet:
     keep = (blocks >= 1) & (mags > 0.0)
     return CandidateSet(
         indices=tuple(int(b) + d + 1 for b in blocks[keep]),
-        m_hat=int(keep.sum()),
         strengths=tuple(float(m) for m in mags[keep]),
     )

@@ -224,37 +224,23 @@ def _signed_solve(G: np.ndarray, r: np.ndarray, kappa: float, signs: np.ndarray,
     return theta, grad, ok.all(axis=0) & (np.sign(theta) == signs).all(axis=0)
 
 
-def _check_subset(breaks: tuple[int, ...], d: int, T: int) -> None:
-    bounds = (d + 1, *breaks, T + 1)
-    if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError(f"breaks {breaks} not strictly increasing within range")
-    for b1, b2 in zip(bounds, bounds[1:]):
-        if b2 - b1 <= d:
-            raise ValueError(f"segment [{b1}, {b2}) too short for d={d}")
-
-
 def evaluate_subset(data: np.ndarray, breaks, d: int,
                     schedule: TuningSchedule,
                     cache: dict | None = None) -> tuple[float, tuple[SegmentFit, ...]]:
     """Total penalized loss of one segmentation; fits are cached by range.
 
-    breaks must be integers (otherwise TypeError), strictly increasing,
-    and leave every segment longer than d (otherwise ValueError).
+    L = sum_i sse_i + n * eta_n * sum_i ||theta_i||_1.  breaks must be
+    integers, or TypeError is raised before any fit (a float would find an
+    int range's cached fit); `fit_segment` checks the ranges in order, and
+    the first invalid one raises its ValueError, naming the segment.
     """
     X = np.asarray(data, dtype=float)
     T = X.shape[0]
-    breaks = integer_times(breaks, "breaks")
-    _check_subset(breaks, d, T)
-    return _subset_loss(X, breaks, d, schedule.eta_n,
-                        effective_sample_size(T, d), {} if cache is None else cache)
-
-
-def _subset_loss(X: np.ndarray, breaks: tuple[int, ...], d: int, eta: float,
-                 n: int, cache: dict) -> tuple[float, tuple[SegmentFit, ...]]:
-    """`evaluate_subset` without its checks, for breaks known to be valid."""
-    bounds = (d + 1, *breaks, X.shape[0] + 1)
+    eta, cache = schedule.eta_n, {} if cache is None else cache
+    bounds = (d + 1, *integer_times(breaks, "breaks"), T + 1)
     fits = [_cached_fit(X, key, d, eta, cache) for key in zip(bounds, bounds[1:])]
-    L = sum([f.sse for f in fits]) + n * eta * sum([f.l1_norm for f in fits])
+    L = sum([f.sse for f in fits]) \
+        + effective_sample_size(T, d) * eta * sum([f.l1_norm for f in fits])
     return float(L), tuple(fits)
 
 
@@ -336,9 +322,10 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     between the already-refined break on its left and the searched one on
     its right (the break stays on an exact tie).  Members of different
     clusters are distinct premerged candidates, so every segment stays
-    longer than d.  No move raises the loss.  chosen_breaks, fits, L_n and
-    ic describe the refined segmentation, L_n and ic as `evaluate_subset`
-    gives them; search_trace holds the searched subsets of representatives.
+    longer than d.  No move raises the loss.  chosen_breaks is the refined
+    segmentation; its fits and L_n are `evaluate_subset`'s (which scores
+    the empty set too), and ic = L_n + m * omega_n.  search_trace holds
+    the searched subsets of representatives.
     The schedule must pass `check_schedule`, or ValueError is raised.
     """
     check_schedule(schedule)
@@ -348,9 +335,6 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     omega, charge = schedule.omega_n, n * eta
     clusters = cluster_candidates(candidates, d, T, math.ceil(n * schedule.gamma_n))
     current = tuple(clusters)
-    # premerge spaces the candidates for this, and dropping breaks only
-    # widens segments, so every subset searched below is valid too
-    _check_subset(current, d, T)
     cache: dict = {}
 
     def loss(lo: int, hi: int) -> float:
@@ -380,7 +364,7 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
         current, current_val = cand_subset, cand_val
     if trace[-1][0]:
         # only a level with one break scores the empty set
-        trace.append(((), _ic(_subset_loss(X, (), d, eta, n, cache)[0], 0, omega)))
+        trace.append(((), _ic(evaluate_subset(X, (), d, schedule, cache)[0], 0, omega)))
 
     _, _, picked = min((val, (len(s), s), s) for s, val in trace)
 
@@ -388,7 +372,7 @@ def select_breaks(data: np.ndarray, candidates: CandidateSet, d: int,
     for t, hi in zip(picked, (*picked[1:], T + 1)):
         lo = best[-1] if best else d + 1
         best.append(min(clusters[t], key=lambda u: (loss(lo, u) + loss(u, hi), u != t)))
-    L_best, best_fits = _subset_loss(X, tuple(best), d, eta, n, cache)
+    L_best, best_fits = evaluate_subset(X, best, d, schedule, cache)
     ic = _ic(L_best, len(best), omega)
     return ScreeningResult(chosen_breaks=tuple(best), L_n=float(L_best), ic=float(ic),
                            fits=best_fits, search_trace=tuple(trace))

@@ -5,7 +5,10 @@
 prints the number of fits, the Newton chain's solves
 (`stage2._signed_solve` calls), the column systems those solves factor
 (the batch sizes of the 3-D `np.linalg.solve` calls) and the columns that
-ran the fallback (stage 2's `_solve_column` calls), then two digests.  A
+ran the fallback (stage 2's `_solve_column` calls), then two digests, then
+how each fit's chain ended: certified at step 1, 2, ..., at the step cap
+with a column uncertified, or on a failed solve (singular, non-finite or
+wider than the rows), read off the fit's `_signed_solve` results.  A
 change meant to keep every answer runs it at the parent commit and at the
 change, and compares the lines.
 
@@ -78,10 +81,21 @@ def _detect(preset, seed: int, via_csv: bool, workdir: Path, h, both) -> None:
             h.update((workdir / name).read_bytes())
 
 
-def fit_hash(items) -> tuple[tuple[str, str], dict[str, int]]:
+def _chain_end(outcomes: list) -> str:
+    """How a fit's chain ended, from its `_signed_solve` results in call
+    order: None for a failed solve, else whether every column certified.
+    Calls past `_NEWTON_STEPS` are the solve after the fallback."""
+    chain = outcomes[:stage2._NEWTON_STEPS]
+    if None in chain:
+        return "failed solve"
+    return f"step {len(chain)}" if chain[-1] else "cap"
+
+
+def fit_hash(items) -> tuple[tuple[str, str], dict]:
     """The fit hash and the detections hash over `items` (as `inputs()`
     gives them), and the counts: fits, `_signed_solve` calls, column
-    systems and `_solve_column` calls in stage 2."""
+    systems and `_solve_column` calls in stage 2, and under "ends" the
+    fits by how their chain ended (`_chain_end`)."""
     h, detections = hashlib.sha256(), hashlib.sha256()
 
     def both(data: bytes) -> None:
@@ -89,6 +103,9 @@ def fit_hash(items) -> tuple[tuple[str, str], dict[str, int]]:
         detections.update(data)
 
     counts = dict.fromkeys(("fits", "systems", *COUNTED), 0)
+    steps = range(1, stage2._NEWTON_STEPS + 1)
+    counts["ends"] = dict.fromkeys([*(f"step {i}" for i in steps), "cap", "failed solve"], 0)
+    outcomes: list = []     # the current fit's `_signed_solve` results
     originals = {name: getattr(stage2, name) for name in ("fit_segment", *COUNTED)}
     solve = np.linalg.solve
 
@@ -100,12 +117,17 @@ def fit_hash(items) -> tuple[tuple[str, str], dict[str, int]]:
     def counted(name):
         def call(*args, **kwargs):
             counts[name] += 1
-            return originals[name](*args, **kwargs)
+            result = originals[name](*args, **kwargs)
+            if name == "_signed_solve":
+                outcomes.append(None if result is None else bool(result[2].all()))
+            return result
         return call
 
     def hashed_fit(*args, **kwargs):
+        outcomes.clear()
         fit = originals["fit_segment"](*args, **kwargs)
         counts["fits"] += 1
+        counts["ends"][_chain_end(outcomes)] += 1
         both(repr((fit.range, fit.converged)).encode() + fit.theta.tobytes()
              + _floats(fit.sse, fit.l1_norm))
         return fit
@@ -135,6 +157,7 @@ def main() -> None:
           f"fallback columns {counts['_solve_column']}")
     print(f"fit hash {digest}")
     print(f"detections hash {detections}")
+    print("chain ends  " + "  ".join(f"{end} {n}" for end, n in counts["ends"].items()))
 
 
 if __name__ == "__main__":

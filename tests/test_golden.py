@@ -33,3 +33,4 @@ def test_fit_hash_is_reproducible():
     first, second = fit_hash.fit_hash(items), fit_hash.fit_hash(items)
     assert first == second
     assert first[1]["fits"] > 0
+    assert sum(first[1]["ends"].values()) == first[1]["fits"]

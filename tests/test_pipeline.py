@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import piecewise_series
 from varseg import pipeline, stage1, stage2
 from varseg.model import default_schedule
-from varseg.pipeline import (ETA_SCALE, LAMBDA_SCALE, OMEGA_SCALE,
+from varseg.pipeline import (LAMBDA_SCALE, OMEGA_SCALE,
                              PipelineError, data_scale,
                              detect, hausdorff, run_replicates,
                              schedule_for_data, stage1_coverage_check)
@@ -40,7 +41,7 @@ def test_schedule_for_data_wiring():
     assert sched.lambda_constant == pytest.approx(LAMBDA_SCALE * s2)
     assert sched.lambda_n == base.lambda_n
     assert sched.gamma_n == base.gamma_n
-    assert sched.eta_n == pytest.approx(ETA_SCALE * s2 * base.gamma_n)
+    assert sched.eta_n == pytest.approx(s2 * base.gamma_n)
     assert sched.omega_n == pytest.approx(OMEGA_SCALE * s2 * base.omega_n)
 
 
@@ -56,6 +57,25 @@ def test_schedule_for_data_overrides():
     n, log_p = 80, 1.0
     assert sched_v.omega_n == pytest.approx(
         OMEGA_SCALE * data_scale(data) * (math.log(n) * log_p) ** 2.0)
+
+
+def test_constant_series_are_refused_before_any_work(monkeypatch):
+    # every column constant: zero variance gives the penalties no scale, so
+    # no schedule is derived; np.var of a constant 0.1 column is rounding
+    # noise, not 0
+    rng = np.random.default_rng(2)
+    given = schedule_for_data(piecewise_series(rng, T=40, p=3, d=1, break_at=20), 1)
+    for data in (np.ones((40, 3)), np.zeros((40, 3)), np.full((40, 3), 0.1)):
+        with pytest.raises(ValueError, match="constant"):
+            schedule_for_data(data, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "build_stage1", None)   # reached only past the input checks
+            with pytest.raises(PipelineError, match="^input: every column") as exc:
+                detect(data, 1)
+        assert exc.value.stage == "input"
+        # a schedule the caller gives still runs
+        result = detect(data, 1, given)
+        assert result.final_breaks == () and result.stage1_estimate.converged
 
 
 def test_detect_rejects_bad_input():
@@ -140,27 +160,59 @@ def test_detect_memory_guard_counts_stage1_work_arrays(monkeypatch):
     with pytest.raises(PipelineError, match="lagged rows and work arrays") as exc:
         detect(data, 2)
     assert exc.value.stage == "input"
+    # stage 1 fits in exactly its count; at this size numpy's iteration
+    # buffers, 3 x 8192 floats, make stage 2's count the larger one
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * 8 * m * q)
+    with pytest.raises(PipelineError, match="stage 2 needs"):
+        detect(data, 2)
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 2**20)
     assert detect(data, 2).stage1_estimate.converged
 
 
 def test_detect_memory_guard_counts_stage2_systems(monkeypatch):
     # q = p*d = 600 coefficients per equation on T - d = 70 rows: stage 1's
-    # eight arrays of 70*q floats fit, but stage 2's q x q segment Gram and
-    # ridge system and p systems of k x k, k = min(q, T - d) = 70, do not
+    # eight arrays of 70*q floats fit, but a stage-2 fit's arrays do not:
+    # its rows, q x q Gram and ridge system, (q + k)^2 augmented Gram, p
+    # systems of k x k with their int64 index, k = min(q, T - d) = 70,
+    # twelve q x p arrays and numpy's buffers
     data = np.random.default_rng(4).standard_normal((100, 20))
     p, q, k = 20, 600, 70
     monkeypatch.setattr(pipeline, "build_stage1", None)   # reached only past the guard
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: 8 * 8 * 70 * q)
     with pytest.raises(PipelineError, match="^input: stage 2 needs .* segment Gram"):
         detect(data, 30)
-    need = 8 * (2 * q * q + p * k * k)
+    need = 8 * (70 * q + 2 * q * q + (q + k) ** 2 + 2 * p * k * k + 12 * q * p + 3 * 8192)
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: need - 1)
     with pytest.raises(PipelineError, match="^input: stage 2 needs .* segment Gram"):
         detect(data, 30)
     monkeypatch.setattr(pipeline, "_physical_memory", lambda: need)
     with pytest.raises(PipelineError) as exc:
         detect(data, 30)
+    assert exc.value.stage == "stage1"
+
+
+@pytest.mark.parametrize("p", [20, 50, 100])
+def test_detect_memory_guard_bounds_a_fits_traced_peak(monkeypatch, p):
+    # one full-support fit (k = q = p, d = 1) at a near-zero penalty, on
+    # the whole series: the stage-2 count is at least the bytes tracemalloc
+    # sees the fit hold at once, and less than twice them
+    T = 4 * p + 10
+    data = np.random.default_rng(0).standard_normal((T, p))
+    stage2.fit_segment(data, (2, T + 1), 1, 1e-6)     # first-call allocations
+    tracemalloc.start()
+    try:
+        fit = stage2.fit_segment(data, (2, T + 1), 1, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged and np.count_nonzero(fit.theta) == p * p
+    monkeypatch.setattr(pipeline, "build_stage1", None)   # reached only past the guard
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(PipelineError, match="^input: stage 2 needs"):
+        detect(data, 1)
+    monkeypatch.setattr(pipeline, "_physical_memory", lambda: 2 * peak)
+    with pytest.raises(PipelineError) as exc:
+        detect(data, 1)
     assert exc.value.stage == "stage1"
 
 

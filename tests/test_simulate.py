@@ -24,8 +24,13 @@ def test_preset_constants():
     for which in (1, 2, 3):
         preset = scenario_preset(which)
         assert (preset.T, preset.p, preset.d) == (300, 20, 1)
-        assert preset.noise_scale == 0.01
+        noise_cov = make_scenario(preset, seed=0).model.noise_cov
+        assert noise_cov.tobytes() == (0.01 * np.eye(20)).tobytes()
         assert len(preset.breaks) == 2
+        # every scenario's segments are p x p, so d is not a field: another
+        # value is refused when the preset is made, not later by check_model
+        with pytest.raises(TypeError):
+            dataclasses.replace(preset, d=2)
 
 
 def test_make_scenario_banded_segments():
@@ -98,12 +103,11 @@ def test_simulate_bytes_are_pinned():
 
 def test_simulate_white_noise_covariance():
     # all-zero coefficients: rows are i.i.d. noise with the model covariance
-    preset = ScenarioPreset(breaks=(), T=10_000, p=2,
-                            noise_scale=1.0, diag_values=(0.0,),
+    preset = ScenarioPreset(breaks=(), T=10_000, p=2, diag_values=(0.0,),
                             band_values=(0.0,))
     data = simulate(make_scenario(preset, seed=0))
     cov = (data.T @ data) / data.shape[0]
-    assert np.max(np.abs(cov - np.eye(2))) < 0.05
+    assert np.max(np.abs(cov / 0.01 - np.eye(2))) < 0.05
 
 
 def test_simulate_white_noise_ignores_burn_in(monkeypatch):

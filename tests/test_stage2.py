@@ -1,6 +1,7 @@
 """Second-stage refits, the screening criterion, and the subset search."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ def candidate_set(times, strengths=None):
     times = tuple(times)
     if strengths is None:
         strengths = tuple(1.0 for _ in times)
-    return CandidateSet(indices=times, m_hat=len(times), strengths=tuple(strengths))
+    return CandidateSet(indices=times, strengths=tuple(strengths))
 
 
 def oracle(data, times, schedule, d=1):
@@ -401,6 +402,11 @@ def test_evaluate_rejects_bad_subsets():
         evaluate_subset(data, (10, 10), 1, schedule)
     with pytest.raises(ValueError, match="too short"):
         evaluate_subset(data, (10, 11), 1, schedule)
+    # a decreasing pair, a break at d + 1 and one past T = 30: `fit_segment`
+    # refuses the first bad range and names it
+    for bad, segment in (((20, 10), "[20, 10)"), ((2,), "[2, 2)"), ((35,), "[2, 35)")):
+        with pytest.raises(ValueError, match=f"^segment {re.escape(segment)} "):
+            evaluate_subset(data, bad, 1, schedule)
 
 
 def test_segment_times_must_be_integers():
